@@ -1,6 +1,6 @@
 """Location-aware upsampling: samplers, losses, and a toy training harness."""
 
-from .core import ConfigError, LabelMap, Rng, ShapeError, as_tensor4, nchw_index
+from .core import ConfigError, LabelMap, Rng, ShapeError, as_tensor4
 from .losses import (
     CandidateSet,
     CoordinateMap,

@@ -24,16 +24,16 @@ from .losses import (
     cross_entropy_backward,
     cross_entropy_map,
     guided_weight,
+    offset_guided_loss,
     reduce_loss,
-    regression_loss,
-    regression_weight,
     select_theta_opt,
-    smooth_l1_grad,
 )
 from .net import (
     ConvLayer,
     GradcheckReport,
     TrainConfig,
+    _guided_terms,
+    _regression_terms,
     build_net,
     conv2d_backward,
     conv2d_forward,
@@ -42,13 +42,7 @@ from .net import (
     network_forward,
     network_loss_fn,
 )
-from .samplers import (
-    OffsetField,
-    bilinear_upsample,
-    lau_backward,
-    lau_forward,
-    lau_source_coords,
-)
+from .samplers import OffsetField, lau_backward, lau_forward, lau_source_coords
 
 __all__ = [
     "conv_gradcheck",
@@ -214,9 +208,8 @@ def guided_loss_gradcheck(seed: int = 0, cases: int = 20, h: float = 1e-6, toler
             lg = vec.reshape(logits.shape)
             m = cross_entropy_map(lg, labels)
             lam_w = guided_weight(m, ce_aux, lam)
-            val = float((m.values * lam_w)[labels.valid].sum() / nv)
             grad = cross_entropy_backward(lg, labels, np.where(labels.valid, lam_w / nv, 0.0))
-            return val, grad.ravel()
+            return reduce_loss(offset_guided_loss(m, ce_aux, lam)), grad.ravel()
 
         rep = gradcheck(fn, [logits.ravel()], h=h, tolerance=tolerance)
         max_rel = max(max_rel, rep.max_rel_err)
@@ -268,20 +261,12 @@ def regression_loss_gradcheck(seed: int = 0, cases: int = 20, h: float = 1e-6, t
 
         def fn(vec):
             o = OffsetField(vec[:ndx].reshape(shape), vec[ndx:].reshape(shape))
-            cset = build_candidate_set(u, o, k, lambda v: v, labels)
-            out = regression_loss(cset, gamma, lam)
-            val = reduce_loss(out)
-            ns = int(out.valid.sum())
-            lam_w = regression_weight(cset, lam)
-            weights = np.where(out.valid, lam_w / ns, 0.0)
+            out, weights, direct, _ = _regression_terms(u, o, k, 1, labels, gamma, lam)
             dlogits = cross_entropy_backward(lau_forward(u, o, k), labels, weights)
             _, doff = lau_backward(u, o, k, dlogits)
-            theta = select_theta_opt(cset)
-            gx, gy = smooth_l1_grad(cset.coords[0], theta)
-            scale = np.where(out.valid, gamma / ns, 0.0)
-            ddx = doff.dx + (gx * scale)[:, None]
-            ddy = doff.dy + (gy * scale)[:, None]
-            return val, np.concatenate([ddx.ravel(), ddy.ravel()])
+            ddx = doff.dx + direct.dx
+            ddy = doff.dy + direct.dy
+            return reduce_loss(out), np.concatenate([ddx.ravel(), ddy.ravel()])
 
         point = np.concatenate([off.dx.ravel(), off.dy.ravel()])
         rep = gradcheck(fn, [point], h=h, tolerance=tolerance)
@@ -343,16 +328,13 @@ def _network_instance(seed: int, loss_kind: str):
         if not _coords_safe(cache["u"].shape, cache["off"], cfg.lau_ratio):
             continue
         if loss_kind == "off":
-            aux = bilinear_upsample(bilinear_upsample(cache["u"], cfg.lau_ratio), cache["rest"])
-            gap = np.abs(
-                cross_entropy_map(logits, labels).values - cross_entropy_map(aux, labels).values
-            )
-            if (gap[labels.valid] <= BRANCH_MARGIN).any():
+            ce = cross_entropy_map(logits, labels)
+            _, _, ce_aux = _guided_terms(cache["u"], cfg.lau_ratio, cache["rest"], ce, labels, cfg.lam)
+            if (np.abs(ce.values - ce_aux.values)[labels.valid] <= BRANCH_MARGIN).any():
                 continue
         if loss_kind == "reg":
-            rest = cache["rest"]
-            rest_fn = (lambda v: bilinear_upsample(v, rest)) if rest > 1 else (lambda v: v)
-            cs = build_candidate_set(cache["u"], cache["off"], cfg.lau_ratio, rest_fn, labels)
+            *_, cs = _regression_terms(cache["u"], cache["off"], cfg.lau_ratio, cache["rest"],
+                                       labels, cfg.gamma, cfg.lam)
             if not _candidate_margins_ok(cs):
                 continue
         return net, cfg, features, labels

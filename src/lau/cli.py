@@ -84,45 +84,23 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
-        def need(cond, field_name, message):
-            if not cond:
-                raise ConfigError(field_name, message)
-
-        need(isinstance(self.seed, int), "seed", "must be an integer")
-        need(isinstance(self.classes, int) and self.classes >= 2, "classes", "must be an integer >= 2")
-        need(isinstance(self.output_stride, int) and self.output_stride >= 1,
-             "output_stride", "must be an integer >= 1")
-        need(isinstance(self.image_size, int) and self.image_size >= self.output_stride
+        """Check every field's type and the fields only this config has, then
+        hand every training rule to TrainConfig.validate."""
+        types = {"int": int, "float": (int, float), "str": str}
+        for f in fields(self):
+            if not isinstance(getattr(self, f.name), types[f.type]):
+                raise ConfigError("lambda" if f.name == "lam" else f.name, f"must be of type {f.type}")
+        self.to_train_config().validate()
+        for name, ok, message in (
+            ("image_size", self.image_size >= self.output_stride
              and self.image_size % self.output_stride == 0,
-             "image_size", f"must be a positive multiple of output_stride {self.output_stride}")
-        need(isinstance(self.lau_ratio, int) and self.lau_ratio >= 1,
-             "lau_ratio", "must be an integer >= 1")
-        need(self.output_stride % self.lau_ratio == 0,
-             "lau_ratio", f"{self.lau_ratio} does not divide output_stride {self.output_stride}")
-        need(self.lam >= 0, "lambda", "must be >= 0")
-        need(self.gamma >= 0, "gamma", "must be >= 0")
-        need(self.loss in ("ce", "off", "reg"), "loss", "must be one of ce, off, reg")
-        need(self.upsampler in ("lau", "bilinear"), "upsampler", "must be lau or bilinear")
-        if self.upsampler == "bilinear":
-            need(self.loss == "ce", "loss", "bilinear baseline supports only loss=ce")
-        need(self.lr > 0, "lr", "must be > 0")
-        need(self.power >= 0, "power", "must be >= 0")
-        need(0 <= self.momentum < 1, "momentum", "must be in [0, 1)")
-        need(self.weight_decay >= 0, "weight_decay", "must be >= 0")
-        need(isinstance(self.epochs, int) and self.epochs >= 1, "epochs", "must be an integer >= 1")
-        need(isinstance(self.batch, int) and self.batch >= 1, "batch", "must be an integer >= 1")
-        need(self.m_channels in (1, self.classes), "m_channels",
-             f"must be 1 (shared) or the class count {self.classes}")
-        if self.loss == "reg":
-            need(self.m_channels == 1, "m_channels", "loss=reg needs shared offsets (m=1)")
-        need(isinstance(self.hidden_channels, int) and self.hidden_channels >= 1,
-             "hidden_channels", "must be an integer >= 1")
-        need(0 <= self.leaky_slope < 1, "leaky_slope", "must be in [0, 1)")
-        need(self.noise_std >= 0, "noise_std", "must be >= 0")
-        need(isinstance(self.train_count, int) and self.train_count >= 1,
-             "train_count", "must be an integer >= 1")
-        need(isinstance(self.val_count, int) and self.val_count >= 1,
-             "val_count", "must be an integer >= 1")
+             f"must be a positive multiple of output_stride {self.output_stride}"),
+            ("noise_std", self.noise_std >= 0, "must be >= 0"),
+            ("train_count", self.train_count >= 1, "must be >= 1"),
+            ("val_count", self.val_count >= 1, "must be >= 1"),
+        ):
+            if not ok:
+                raise ConfigError(name, message)
 
     def to_train_config(self) -> TrainConfig:
         return TrainConfig(

@@ -9,6 +9,7 @@ the finite-difference checks depend on it.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -20,7 +21,6 @@ __all__ = [
     "Rng",
     "LabelMap",
     "as_tensor4",
-    "nchw_index",
     "read_labels",
     "read_tensor",
     "write_labels",
@@ -52,15 +52,6 @@ def as_tensor4(a) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("tensor contains non-finite values")
     return arr
-
-
-def nchw_index(n_i: int, c_i: int, h_i: int, w_i: int, shape) -> int:
-    """Flat row-major offset of element (n_i, c_i, h_i, w_i) in `shape`."""
-    n, c, h, w = shape
-    for name, i, bound in (("n", n_i, n), ("c", c_i, c), ("h", h_i, h), ("w", w_i, w)):
-        if not 0 <= i < bound:
-            raise IndexError(f"index {name}={i} out of bounds for dim of size {bound}")
-    return ((n_i * c + c_i) * h + h_i) * w + w_i
 
 
 @dataclass
@@ -178,18 +169,28 @@ def write_tensor(path, u: np.ndarray) -> None:
         fh.write(u.astype("<f8", copy=False).tobytes(order="C"))
 
 
-def read_tensor(path) -> np.ndarray:
+def _read_dump(path, itemsize: int):
+    """Header dims and payload bytes of a dump whose file size matches them.
+
+    The size is checked before the payload is read, so a corrupt or hostile
+    header can never make the reader ask for more bytes than the file has.
+    """
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) != _HEADER.size:
             raise IOError(f"{path}: truncated header")
-        n, c, h, w = _HEADER.unpack(raw)
-        count = n * c * h * w
-        payload = fh.read(8 * count)
-        if len(payload) != 8 * count:
-            raise IOError(f"{path}: truncated payload, wanted {count} float64s")
-    data = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    return data.reshape(n, c, h, w)
+        dims = _HEADER.unpack(raw)
+        want = _HEADER.size + itemsize * math.prod(dims)
+        size = os.fstat(fh.fileno()).st_size
+        if size != want:
+            problem = "truncated payload" if size < want else "trailing bytes"
+            raise IOError(f"{path}: {problem}: dims {dims} need {want} bytes, file has {size}")
+        return dims, fh.read(want - _HEADER.size)
+
+
+def read_tensor(path) -> np.ndarray:
+    dims, payload = _read_dump(path, 8)
+    return np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)
 
 
 def write_labels(path, lm: LabelMap) -> None:
@@ -200,16 +201,8 @@ def write_labels(path, lm: LabelMap) -> None:
 
 
 def read_labels(path, num_classes: int, ignore_value: int = -1) -> LabelMap:
-    with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        if len(raw) != _HEADER.size:
-            raise IOError(f"{path}: truncated header")
-        n, c, h, w = _HEADER.unpack(raw)
-        if c != 1:
-            raise IOError(f"{path}: label dump must have c=1, got {c}")
-        count = n * h * w
-        payload = fh.read(4 * count)
-        if len(payload) != 4 * count:
-            raise IOError(f"{path}: truncated payload, wanted {count} int32s")
+    (n, c, h, w), payload = _read_dump(path, 4)
+    if c != 1:
+        raise IOError(f"{path}: label dump must have c=1, got {c}")
     labels = np.frombuffer(payload, dtype="<i4").astype(np.int64).reshape(n, h, w)
     return LabelMap(labels, num_classes=num_classes, ignore_value=ignore_value)

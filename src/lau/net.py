@@ -17,13 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConfigError, LabelMap, Rng, ShapeError, as_tensor4
+from .core import _HEADER, ConfigError, LabelMap, Rng, ShapeError, as_tensor4
 from .losses import (
     LossMap,
     build_candidate_set,
     cross_entropy_backward,
     cross_entropy_map,
     guided_weight,
+    offset_guided_loss,
     reduce_loss,
     regression_loss,
     regression_weight,
@@ -57,6 +58,7 @@ __all__ = [
     "leaky_relu",
     "leaky_relu_backward",
     "load_checkpoint",
+    "loss_and_grads",
     "network_forward",
     "offset_predictor_forward",
     "poly_lr",
@@ -186,17 +188,14 @@ class OffsetPredictor:
         return cls(reduce, expand, ratio, groups, slope)
 
 
-def _predictor_forward(pred: OffsetPredictor, f: np.ndarray):
+def offset_predictor_forward(pred: OffsetPredictor, f: np.ndarray):
+    """Offset branch forward; returns (offsets, cache for the backward)."""
     ar = conv2d_forward(pred.reduce, f)
     hr = leaky_relu(ar, pred.slope)
     ae = conv2d_forward(pred.expand, hr)
     o = pixel_shuffle(ae, pred.ratio)
     off = OffsetField(o[:, 0::2], o[:, 1::2])
     return off, (ar, hr)
-
-
-def offset_predictor_forward(pred: OffsetPredictor, f: np.ndarray) -> OffsetField:
-    return _predictor_forward(pred, f)[0]
 
 
 def _predictor_backward(pred: OffsetPredictor, f: np.ndarray, cache, doff: OffsetField):
@@ -252,42 +251,37 @@ def build_net(
     head = ConvLayer.init(decoder_channels, num_classes, 1, rng, weight_decay)
     pred = None
     if with_predictor:
-        groups = num_classes if offset_groups == 0 else offset_groups
-        pred = OffsetPredictor.init(decoder_channels, reduced_channels, lau_ratio, groups, slope, rng)
+        pred = OffsetPredictor.init(decoder_channels, reduced_channels, lau_ratio, offset_groups, slope, rng)
     return SegNet(conv1, conv2, head, pred, lau_ratio, total_ratio, slope)
 
 
 def decoder_forward(net: SegNet, x: np.ndarray):
     """Two 3x3 conv + leaky ReLU stages, then the 1x1 logits head.
 
-    Returns (F, U): the shared feature map that also feeds the offset
-    branch, and the low-resolution class logits.
+    Returns (F, U, cache): the shared feature map that also feeds the offset
+    branch, the low-resolution class logits, and the input and
+    pre-activations the backward pass needs.
     """
     a1 = conv2d_forward(net.conv1, x)
     h1 = leaky_relu(a1, net.slope)
     a2 = conv2d_forward(net.conv2, h1)
     f = leaky_relu(a2, net.slope)
     u = conv2d_forward(net.head, f)
-    return f, u
+    return f, u, {"x": x, "a1": a1, "h1": h1, "a2": a2}
 
 
 def network_forward(net: SegNet, x: np.ndarray):
     """Full pipeline forward; returns (full-res logits, cache for backward)."""
-    a1 = conv2d_forward(net.conv1, x)
-    h1 = leaky_relu(a1, net.slope)
-    a2 = conv2d_forward(net.conv2, h1)
-    f = leaky_relu(a2, net.slope)
-    u = conv2d_forward(net.head, f)
+    f, u, cache = decoder_forward(net, x)
     rest = net.total_ratio // net.lau_ratio
     if net.predictor is not None:
-        off, pcache = _predictor_forward(net.predictor, f)
+        off, pcache = offset_predictor_forward(net.predictor, f)
         v1 = lau_forward(u, off, net.lau_ratio)
     else:
         off, pcache = None, None
         v1 = bilinear_upsample(u, net.lau_ratio)
     logits = bilinear_upsample(v1, rest) if rest > 1 else v1
-    cache = {"x": x, "a1": a1, "h1": h1, "a2": a2, "f": f, "u": u,
-             "off": off, "pcache": pcache, "v1": v1, "rest": rest}
+    cache.update(f=f, u=u, off=off, pcache=pcache, v1=v1, rest=rest)
     return logits, cache
 
 
@@ -358,7 +352,37 @@ class TrainConfig:
     epochs: int
     batch: int
     seed: int
-    total_iters: int = 0  # 0 = epochs * batches per epoch
+
+    def validate(self) -> None:
+        """Raise ConfigError at the first broken rule, named by its JSON config key."""
+
+        def need(ok, key, message):
+            if not ok:
+                raise ConfigError(key, message)
+
+        need(self.num_classes >= 2, "classes", "must be >= 2")
+        need(self.total_upsample >= 1, "output_stride", "must be >= 1")
+        need(self.lau_ratio >= 1, "lau_ratio", "must be >= 1")
+        need(self.total_upsample % self.lau_ratio == 0, "lau_ratio",
+             f"{self.lau_ratio} does not divide output_stride {self.total_upsample}")
+        need(self.lam >= 0, "lambda", "must be >= 0")
+        need(self.gamma >= 0, "gamma", "must be >= 0")
+        need(self.loss_kind in ("ce", "off", "reg"), "loss", "must be one of ce, off, reg")
+        need(self.upsampler in ("lau", "bilinear"), "upsampler", "must be lau or bilinear")
+        if self.upsampler == "bilinear":
+            need(self.loss_kind == "ce", "loss", "bilinear baseline supports only loss=ce")
+        need(self.base_lr > 0, "lr", "must be > 0")
+        need(self.power >= 0, "power", "must be >= 0")
+        need(0 <= self.momentum < 1, "momentum", "must be in [0, 1)")
+        need(self.weight_decay >= 0, "weight_decay", "must be >= 0")
+        need(self.epochs >= 1, "epochs", "must be >= 1")
+        need(self.batch >= 1, "batch", "must be >= 1")
+        need(self.offset_groups in (1, self.num_classes), "m_channels",
+             f"must be 1 (shared) or the class count {self.num_classes}")
+        if self.loss_kind == "reg":
+            need(self.offset_groups == 1, "m_channels", "loss=reg needs shared offsets (m=1)")
+        need(min(self.decoder_channels, self.reduced_channels) >= 1, "hidden_channels", "must be >= 1")
+        need(0 <= self.slope < 1, "leaky_slope", "must be in [0, 1)")
 
 
 @dataclass
@@ -380,6 +404,49 @@ def _stack_labels(samples, idx, num_classes, ignore_value):
     return LabelMap(labels, num_classes, ignore_value)
 
 
+def _guided_terms(u, k: int, rest: int, ce: LossMap, labels: LabelMap, lam: float):
+    """The offset-guided loss, its CE weights, and the plain-bilinear CE.
+
+    The auxiliary prediction upsamples the same low-resolution logits with
+    plain bilinear over the whole factor; wherever the refined CE does not
+    beat its CE, offset_guided_loss weights the pixel by 1 + lambda.
+    Returns (guided loss map, per-pixel CE weights, auxiliary CE map).
+    """
+    aux = bilinear_upsample(u, k)
+    ce_aux = cross_entropy_map(bilinear_upsample(aux, rest) if rest > 1 else aux, labels)
+    weights = np.where(ce.valid, guided_weight(ce, ce_aux, lam) / int(ce.valid.sum()), 0.0)
+    return offset_guided_loss(ce, ce_aux, lam), weights, ce_aux
+
+
+def _regression_terms(u, off: OffsetField, k: int, rest: int, labels: LabelMap,
+                      gamma: float, lam: float):
+    """The coordinate-regression loss, its CE weights and direct offset gradient.
+
+    Returns (loss map at the sampler's output grid, per-pixel CE weights at
+    label resolution, smooth-L1 gradient on the offsets, candidate set).
+    """
+    rest_fn = (lambda v: bilinear_upsample(v, rest)) if rest > 1 else (lambda v: v)
+    cs = build_candidate_set(u, off, k, rest_fn, labels)
+    out = regression_loss(cs, gamma, lam)
+    ns = int(out.valid.sum())
+    lam_w = regression_weight(cs, lam)
+    # CE gradient: each full-res pixel inherits its stage block's weight
+    # over (stage count * block valid count); with rest == 1 this is the
+    # plain lambda-weight / valid-count map.
+    if rest > 1:
+        n, sh, sw = out.shape
+        counts = labels.valid.reshape(n, sh, rest, sw, rest).sum(axis=(2, 4))
+        per_block = np.where(out.valid, lam_w / (ns * np.maximum(counts, 1)), 0.0)
+        weights = np.repeat(np.repeat(per_block, rest, axis=1), rest, axis=2)
+        weights = np.where(labels.valid, weights, 0.0)
+    else:
+        weights = np.where(labels.valid, lam_w / ns, 0.0)
+    # direct offset gradient from the smooth-L1 pull toward theta_opt
+    gx, gy = smooth_l1_grad(cs.coords[0], select_theta_opt(cs))
+    scale = np.where(out.valid, gamma / ns, 0.0)
+    return out, weights, OffsetField((gx * scale)[:, None], (gy * scale)[:, None]), cs
+
+
 def _loss_forward(net: SegNet, cfg: TrainConfig, logits, cache, labels: LabelMap):
     """Scalar loss plus what the backward pass needs (per-pixel CE weights
     at label resolution, and any direct offset gradient)."""
@@ -388,59 +455,33 @@ def _loss_forward(net: SegNet, cfg: TrainConfig, logits, cache, labels: LabelMap
     if nv == 0:
         raise ValueError("batch contains no valid pixels")
     if cfg.loss_kind == "ce" or net.predictor is None:
-        scalar = reduce_loss(ce)
-        weights = np.where(ce.valid, 1.0 / nv, 0.0)
-        return scalar, weights, None
+        return reduce_loss(ce), np.where(ce.valid, 1.0 / nv, 0.0), None
     if cfg.loss_kind == "off":
-        aux_v1 = bilinear_upsample(cache["u"], net.lau_ratio)
-        aux = bilinear_upsample(aux_v1, cache["rest"]) if cache["rest"] > 1 else aux_v1
-        ce_aux = cross_entropy_map(aux, labels)
-        lam_w = guided_weight(ce, ce_aux, cfg.lam)
-        scalar = reduce_loss(LossMap(np.where(ce.valid, ce.values * lam_w, 0.0), ce.valid))
-        weights = np.where(ce.valid, lam_w / nv, 0.0)
-        return scalar, weights, None
+        loss, weights, _ = _guided_terms(cache["u"], net.lau_ratio, cache["rest"], ce, labels, cfg.lam)
+        return reduce_loss(loss), weights, None
     if cfg.loss_kind == "reg":
-        rest = cache["rest"]
-        rest_fn = (lambda v: bilinear_upsample(v, rest)) if rest > 1 else (lambda v: v)
-        cs = build_candidate_set(cache["u"], cache["off"], net.lau_ratio, rest_fn, labels)
-        out = regression_loss(cs, cfg.gamma, cfg.lam)
-        scalar = reduce_loss(out)
-        ns = int(out.valid.sum())
-        lam_w = regression_weight(cs, cfg.lam)
-        # CE gradient: each full-res pixel inherits its stage block's weight
-        # over (stage count * block valid count); with rest == 1 this is the
-        # plain lambda-weight / valid-count map.
-        if rest > 1:
-            n, sh, sw = out.shape
-            counts = ce.valid.reshape(n, sh, rest, sw, rest).sum(axis=(2, 4))
-            per_block = np.where(out.valid, lam_w / (ns * np.maximum(counts, 1)), 0.0)
-            weights = np.repeat(np.repeat(per_block, rest, axis=1), rest, axis=2)
-            weights = np.where(ce.valid, weights, 0.0)
-        else:
-            weights = np.where(ce.valid, lam_w / ns, 0.0)
-        # direct offset gradient from the smooth-L1 pull toward theta_opt
-        theta = select_theta_opt(cs)
-        gx, gy = smooth_l1_grad(cs.coords[0], theta)
-        scale = np.where(out.valid, cfg.gamma / ns, 0.0)
-        doff = OffsetField((gx * scale)[:, None], (gy * scale)[:, None])
-        return scalar, weights, doff
+        loss, weights, doff, _ = _regression_terms(
+            cache["u"], cache["off"], net.lau_ratio, cache["rest"], labels, cfg.gamma, cfg.lam)
+        return reduce_loss(loss), weights, doff
     raise ConfigError("loss", f"unknown loss kind {cfg.loss_kind!r}")
 
 
-def _train_iteration(net: SegNet, cfg: TrainConfig, features, labels, velocities, lr):
+def _params(net: SegNet) -> list:
+    """Every trainable array: weights then bias, layer by layer."""
+    return [arr for _, layer in net.named_layers() for arr in (layer.weights, layer.bias)]
+
+
+def loss_and_grads(net: SegNet, cfg: TrainConfig, features, labels: LabelMap):
+    """The configured loss at (features, labels) and its parameter gradients.
+
+    The one loss-and-gradient step behind training and the end-to-end
+    gradient check. Gradients are listed in _params order.
+    """
     logits, cache = network_forward(net, features)
     scalar, weights, doff_extra = _loss_forward(net, cfg, logits, cache, labels)
     dlogits = cross_entropy_backward(logits, labels, weights)
     grads = network_backward(net, cache, dlogits, doff_extra)
-    names = [name for name, _ in net.named_layers()]
-    params, gs, decays = [], [], []
-    for name, layer in net.named_layers():
-        dw, db = grads[name]
-        params += [layer.weights, layer.bias]
-        gs += [dw, db]
-        decays += [layer.weight_decay, layer.weight_decay]
-    sgd_step(params, gs, velocities, lr, cfg.momentum, decays)
-    return scalar
+    return scalar, [g for name, _ in net.named_layers() for g in grads[name]]
 
 
 def evaluate(net: SegNet, cfg: TrainConfig, samples) -> dict:
@@ -473,7 +514,9 @@ def evaluate(net: SegNet, cfg: TrainConfig, samples) -> dict:
 
 def train(cfg: TrainConfig, train_samples, val_samples) -> TrainResult:
     """Run the configured training loop; deterministic given cfg.seed."""
-    _validate_train_config(cfg, train_samples)
+    cfg.validate()
+    if not train_samples:
+        raise ConfigError("train_count", "empty training set")
     rng = Rng(cfg.seed)
     net = build_net(
         cfg.in_channels,
@@ -488,11 +531,11 @@ def train(cfg: TrainConfig, train_samples, val_samples) -> TrainResult:
         cfg.weight_decay,
         with_predictor=(cfg.upsampler == "lau"),
     )
-    velocities = []
-    for _, layer in net.named_layers():
-        velocities += [np.zeros_like(layer.weights), np.zeros_like(layer.bias)]
+    params = _params(net)
+    decays = [layer.weight_decay for _, layer in net.named_layers() for _ in (0, 1)]
+    velocities = [np.zeros_like(p) for p in params]
     batches = _batches(len(train_samples), cfg.batch)
-    total = cfg.total_iters if cfg.total_iters > 0 else cfg.epochs * len(batches)
+    total = cfg.epochs * len(batches)
     metrics = []
     it = 0
     order = list(range(len(train_samples)))
@@ -503,41 +546,15 @@ def train(cfg: TrainConfig, train_samples, val_samples) -> TrainResult:
             idx = order[lo:hi]
             features = _stack_features(train_samples, idx)
             labels = _stack_labels(train_samples, idx, cfg.num_classes, ignore)
-            lr = poly_lr(cfg.base_lr, min(it, total), total, cfg.power)
-            _train_iteration(net, cfg, features, labels, velocities, lr)
+            _, grads = loss_and_grads(net, cfg, features, labels)
+            lr = poly_lr(cfg.base_lr, it, total, cfg.power)
+            sgd_step(params, grads, velocities, lr, cfg.momentum, decays)
             it += 1
         for split, samples in (("train", train_samples), ("val", val_samples)):
             row = {"epoch": epoch, "split": split}
             row.update(evaluate(net, cfg, samples))
             metrics.append(row)
     return TrainResult(net, metrics)
-
-
-def _validate_train_config(cfg: TrainConfig, train_samples):
-    if cfg.total_upsample % cfg.lau_ratio != 0:
-        raise ConfigError("lau_ratio", f"{cfg.lau_ratio} does not divide total {cfg.total_upsample}")
-    if cfg.lam < 0:
-        raise ConfigError("lambda", "must be >= 0")
-    if cfg.gamma < 0:
-        raise ConfigError("gamma", "must be >= 0")
-    if cfg.loss_kind not in ("ce", "off", "reg"):
-        raise ConfigError("loss", f"unknown kind {cfg.loss_kind!r}")
-    if cfg.upsampler not in ("lau", "bilinear"):
-        raise ConfigError("upsampler", f"unknown upsampler {cfg.upsampler!r}")
-    if cfg.upsampler == "bilinear" and cfg.loss_kind != "ce":
-        raise ConfigError("loss", "bilinear baseline supports only loss=ce")
-    if cfg.loss_kind == "reg" and cfg.offset_groups != 1:
-        raise ConfigError("m_channels", "loss=reg needs shared offsets (m=1)")
-    if not train_samples:
-        raise ConfigError("train_count", "empty training set")
-    if cfg.epochs < 1:
-        raise ConfigError("epochs", "must be >= 1")
-    if cfg.batch < 1:
-        raise ConfigError("batch", "must be >= 1")
-    if not 0 <= cfg.momentum < 1:
-        raise ConfigError("momentum", "must be in [0, 1)")
-    if cfg.base_lr <= 0:
-        raise ConfigError("lr", "must be > 0")
 
 
 # ---------------------------------------------------------------------------
@@ -586,16 +603,14 @@ def gradcheck(fn, points, h: float = 1e-6, tolerance: float = 1e-5, subject: str
 
 
 def flatten_params(net: SegNet) -> np.ndarray:
-    return np.concatenate([arr.ravel() for _, layer in net.named_layers()
-                           for arr in (layer.weights, layer.bias)])
+    return np.concatenate([arr.ravel() for arr in _params(net)])
 
 
 def set_params(net: SegNet, vector: np.ndarray) -> None:
     pos = 0
-    for _, layer in net.named_layers():
-        for arr in (layer.weights, layer.bias):
-            arr[...] = vector[pos : pos + arr.size].reshape(arr.shape)
-            pos += arr.size
+    for arr in _params(net):
+        arr[...] = vector[pos : pos + arr.size].reshape(arr.shape)
+        pos += arr.size
     if pos != vector.size:
         raise ShapeError(f"parameter vector length {vector.size} != {pos}")
 
@@ -605,15 +620,8 @@ def network_loss_fn(net: SegNet, cfg: TrainConfig, features, labels):
 
     def fn(vector):
         set_params(net, vector)
-        logits, cache = network_forward(net, features)
-        scalar, weights, doff_extra = _loss_forward(net, cfg, logits, cache, labels)
-        dlogits = cross_entropy_backward(logits, labels, weights)
-        grads = network_backward(net, cache, dlogits, doff_extra)
-        flat = np.concatenate([
-            np.concatenate([grads[name][0].ravel(), grads[name][1].ravel()])
-            for name, _ in net.named_layers()
-        ])
-        return scalar, flat
+        scalar, grads = loss_and_grads(net, cfg, features, labels)
+        return scalar, np.concatenate([g.ravel() for g in grads])
 
     return fn
 
@@ -621,43 +629,38 @@ def network_loss_fn(net: SegNet, cfg: TrainConfig, features, labels):
 # ---------------------------------------------------------------------------
 # checkpoints: one text manifest line, then weight+bias dumps per layer
 
-def save_checkpoint(path, net: SegNet) -> None:
-    from .core import _HEADER  # shared binary convention
+def _manifest(net: SegNet) -> str:
+    return " ".join(f"{name}:{','.join(map(str, layer.weights.shape))}"
+                    for name, layer in net.named_layers())
 
-    entries = []
-    for name, layer in net.named_layers():
-        o, i, kh, kw = layer.weights.shape
-        entries.append(f"{name}:{o},{i},{kh},{kw}")
+
+def _checkpoint_entries(net: SegNet):
+    """(array, dump dims) of every stored tensor, in file order."""
+    return [(arr, dims) for _, layer in net.named_layers()
+            for arr, dims in ((layer.weights, layer.weights.shape), (layer.bias, (1, layer.out_ch, 1, 1)))]
+
+
+def save_checkpoint(path, net: SegNet) -> None:
     with open(path, "wb") as fh:
-        fh.write((" ".join(entries) + "\n").encode("ascii"))
-        for _, layer in net.named_layers():
-            fh.write(_HEADER.pack(*layer.weights.shape))
-            fh.write(layer.weights.astype("<f8").tobytes())
-            fh.write(_HEADER.pack(1, layer.out_ch, 1, 1))
-            fh.write(layer.bias.reshape(1, -1, 1, 1).astype("<f8").tobytes())
+        fh.write((_manifest(net) + "\n").encode("ascii"))
+        for arr, dims in _checkpoint_entries(net):
+            fh.write(_HEADER.pack(*dims))
+            fh.write(arr.astype("<f8").tobytes())
 
 
 def load_checkpoint(path, net: SegNet) -> None:
-    from .core import _HEADER
-
     with open(path, "rb") as fh:
         manifest = fh.readline().decode("ascii").strip()
-        expected = []
-        for name, layer in net.named_layers():
-            o, i, kh, kw = layer.weights.shape
-            expected.append(f"{name}:{o},{i},{kh},{kw}")
-        if manifest != " ".join(expected):
+        if manifest != _manifest(net):
             raise IOError(f"checkpoint manifest {manifest!r} does not match this network")
-        for _, layer in net.named_layers():
-            for arr, want_dims in (
-                (layer.weights, layer.weights.shape),
-                (layer.bias, (1, layer.out_ch, 1, 1)),
-            ):
-                dims = _HEADER.unpack(fh.read(_HEADER.size))
-                if dims != tuple(want_dims):
-                    raise IOError(f"checkpoint tensor dims {dims} != {tuple(want_dims)}")
-                count = int(np.prod(dims))
-                payload = fh.read(8 * count)
-                if len(payload) != 8 * count:
-                    raise IOError("truncated checkpoint payload")
-                arr[...] = np.frombuffer(payload, dtype="<f8").reshape(arr.shape)
+        for arr, want in _checkpoint_entries(net):
+            raw = fh.read(_HEADER.size)
+            dims = _HEADER.unpack(raw) if len(raw) == _HEADER.size else None
+            if dims != tuple(want):
+                raise IOError(f"checkpoint tensor dims {dims} != {tuple(want)}")
+            payload = fh.read(8 * arr.size)
+            if len(payload) != 8 * arr.size:
+                raise IOError("truncated checkpoint payload")
+            arr[...] = np.frombuffer(payload, dtype="<f8").reshape(arr.shape)
+        if fh.read(1):
+            raise IOError("trailing bytes after the last checkpoint tensor")

@@ -119,6 +119,29 @@ def _check_ratio(k: int) -> int:
     return int(k)
 
 
+def _cells(px, py, h: int, w: int):
+    """Clamp source points into the h-by-w grid and find their bilinear cells.
+
+    Returns (x0, x1, fx, y0, y1, fy): the lattice columns and rows around
+    each clamped point and its fractional position from x0 (y0). On the
+    last column (row) x1 == x0 (y1 == y0), which replicates the border.
+    The bilinear and lau samplers and both adjoints share this geometry, so
+    zero-offset lau reads exactly the taps and weights bilinear reads.
+    """
+    px = np.clip(px, 0.0, w - 1.0)
+    py = np.clip(py, 0.0, h - 1.0)
+    x0 = np.floor(px).astype(np.intp)
+    y0 = np.floor(py).astype(np.intp)
+    return x0, np.minimum(x0 + 1, w - 1), px - x0, y0, np.minimum(y0 + 1, h - 1), py - y0
+
+
+def _upsample_cells(h: int, w: int, k: int):
+    """_cells of the unshifted k-fold output grid, as one 1-D array per axis."""
+    gx = np.arange(k * w, dtype=np.float64) / k
+    gy = np.arange(k * h, dtype=np.float64) / k
+    return _cells(gx, gy, h, w)
+
+
 def bilinear_upsample(u: np.ndarray, k: int) -> np.ndarray:
     """Upsample by k with the triangular kernel; border-replicating at edges.
 
@@ -129,14 +152,7 @@ def bilinear_upsample(u: np.ndarray, k: int) -> np.ndarray:
     u = as_tensor4(u)
     k = _check_ratio(k)
     n, c, h, w = u.shape
-    px = np.clip(np.arange(k * w, dtype=np.float64) / k, 0.0, w - 1.0)
-    py = np.clip(np.arange(k * h, dtype=np.float64) / k, 0.0, h - 1.0)
-    x0 = np.floor(px).astype(np.intp)
-    y0 = np.floor(py).astype(np.intp)
-    fx = px - x0
-    fy = py - y0
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
+    x0, x1, fx, y0, y1, fy = _upsample_cells(h, w, k)
     # Separable: columns first, then rows.
     t = u[:, :, :, x0] * (1.0 - fx) + u[:, :, :, x1] * fx
     v = t[:, :, y0, :] * (1.0 - fy)[:, None] + t[:, :, y1, :] * fy[:, None]
@@ -150,14 +166,7 @@ def bilinear_upsample_backward(in_shape, k: int, dv: np.ndarray) -> np.ndarray:
     dv = as_tensor4(dv)
     if dv.shape != (n, c, k * h, k * w):
         raise ShapeError(f"dv shape {dv.shape} does not match output ({n},{c},{k*h},{k*w})")
-    px = np.clip(np.arange(k * w, dtype=np.float64) / k, 0.0, w - 1.0)
-    py = np.clip(np.arange(k * h, dtype=np.float64) / k, 0.0, h - 1.0)
-    x0 = np.floor(px).astype(np.intp)
-    y0 = np.floor(py).astype(np.intp)
-    fx = px - x0
-    fy = py - y0
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
+    x0, x1, fx, y0, y1, fy = _upsample_cells(h, w, k)
     dt = np.zeros((n, c, h, k * w))
     np.add.at(dt, (slice(None), slice(None), y0), dv * (1.0 - fy)[:, None])
     np.add.at(dt, (slice(None), slice(None), y1), dv * fy[:, None])
@@ -202,14 +211,7 @@ def lau_forward(u: np.ndarray, off: OffsetField, k: int) -> np.ndarray:
     _lau_check(u, off, k)
     n, c, h, w = u.shape
     qx, qy = lau_source_coords(h, w, off, k)
-    px = np.clip(qx, 0.0, w - 1.0)
-    py = np.clip(qy, 0.0, h - 1.0)
-    x0 = np.floor(px).astype(np.intp)
-    y0 = np.floor(py).astype(np.intp)
-    fx = px - x0
-    fy = py - y0
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
+    x0, x1, fx, y0, y1, fy = _cells(qx, qy, h, w)
 
     # Index arrays have the offset-group layout (n, m, H, W); broadcasting
     # against the channel axis covers both the shared (m=1) and per-channel
@@ -241,14 +243,7 @@ def lau_backward(u: np.ndarray, off: OffsetField, k: int, dv: np.ndarray):
         raise ShapeError(f"dv shape {dv.shape} != output ({n},{c},{off.h_out},{off.w_out})")
 
     qx, qy = lau_source_coords(h, w, off, k)
-    px = np.clip(qx, 0.0, w - 1.0)
-    py = np.clip(qy, 0.0, h - 1.0)
-    x0 = np.floor(px).astype(np.intp)
-    y0 = np.floor(py).astype(np.intp)
-    fx = px - x0
-    fy = py - y0
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
+    x0, x1, fx, y0, y1, fy = _cells(qx, qy, h, w)
 
     ni = np.arange(n)[:, None, None, None]
     ci = np.arange(c)[None, :, None, None]

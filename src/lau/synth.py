@@ -13,22 +13,11 @@ never need to be stored to be reproducible.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ConfigError,
-    LabelMap,
-    Rng,
-    ShapeError,
-    mix_seed,
-    read_labels,
-    read_tensor,
-    write_labels,
-    write_tensor,
-)
+from .core import ConfigError, LabelMap, Rng, ShapeError, mix_seed
 
 __all__ = [
     "SynthSample",
@@ -36,9 +25,7 @@ __all__ = [
     "gen_sample",
     "miou",
     "pix_acc",
-    "read_dataset",
     "speckle_rate",
-    "write_dataset",
 ]
 
 
@@ -161,19 +148,3 @@ def speckle_rate(pred: LabelMap) -> float:
         & (mid != x[:, 1:-1, 2:])
     )
     return float(isolated.sum() / mid.size)
-
-
-def write_dataset(dirpath, samples) -> None:
-    os.makedirs(dirpath, exist_ok=True)
-    for i, s in enumerate(samples):
-        write_tensor(os.path.join(dirpath, f"features_{i:04d}.t4"), s.features)
-        write_labels(os.path.join(dirpath, f"labels_{i:04d}.i4"), s.labels)
-
-
-def read_dataset(dirpath, count: int, num_classes: int) -> list:
-    samples = []
-    for i in range(count):
-        features = read_tensor(os.path.join(dirpath, f"features_{i:04d}.t4"))
-        labels3 = read_labels(os.path.join(dirpath, f"labels_{i:04d}.i4"), num_classes)
-        samples.append(SynthSample(features, labels3))
-    return samples

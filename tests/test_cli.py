@@ -1,6 +1,9 @@
 """CLI tests: config validation, command outputs, schemas, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -67,6 +70,13 @@ class TestConfig:
             ExperimentConfig.from_json(obj)
         assert field in str(exc.value)
 
+    @pytest.mark.parametrize("key,value", [("lambda", "0.3"), ("lr", None), ("epochs", 1.5), ("loss", 3)])
+    def test_wrong_type_names_the_field(self, key, value):
+        obj = dict(TINY, **{key: value})
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_json(obj)
+        assert exc.value.field_name == key
+
 
 class TestDemo:
     def test_lau_zero_offsets_matches_bilinear_bytes(self, tmp_path):
@@ -103,6 +113,15 @@ class TestDemo:
 
         assert np.array_equal(rgb, PALETTE[expected])
 
+    def test_hostile_dump_fails_cleanly(self, tmp_path, capsys):
+        # a bare header claiming 65535^4 float64s must be refused by size,
+        # not read, and reported as an error rather than a traceback
+        infile = tmp_path / "huge.t4"
+        infile.write_bytes(np.array([65535] * 4, dtype="<u4").tobytes())
+        rc = main(["demo", "--upsampler", "bilinear", "--in", str(infile), "--out", str(tmp_path / "d")])
+        assert rc == 1
+        assert "truncated" in capsys.readouterr().err
+
     def test_corner_variant_runs(self, tmp_path):
         out = tmp_path / "c"
         assert main(["demo", "--upsampler", "corner-fc", "--ratio", "2",
@@ -137,6 +156,21 @@ class TestTrainCommand:
         lines = (out / "metrics.csv").read_text().strip().split("\n")
         assert lines[0] == "epoch,split,loss,pixacc,miou,speckle"
         assert len(lines) == 1 + 2 * TINY["epochs"]
+
+    def test_bytes_independent_of_blas_threads(self, tmp_path):
+        # default width and 8x8 feature maps: the conv GEMMs are then above
+        # the size at which OpenBLAS splits work across threads
+        cfg = write_config(tmp_path, image_size=32, epochs=1, batch=8, hidden_channels=64)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            subprocess.run([sys.executable, "-m", "lau.cli", "train", "--config", cfg,
+                            "--out", str(out)], env=env, check=True, capture_output=True)
+            outputs.append([(out / name).read_bytes() for name in ("metrics.csv", "checkpoint.bin")])
+        assert outputs[0] == outputs[1]
 
     def test_invalid_config_nonzero_exit(self, tmp_path, capsys):
         cfg = write_config(tmp_path, lau_ratio=3)

@@ -1,9 +1,7 @@
-"""Tensor plumbing, indexing, RNG, and binary dump tests."""
+"""Tensor plumbing, RNG, and binary dump tests."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from lau.core import (
     LabelMap,
@@ -11,7 +9,6 @@ from lau.core import (
     ShapeError,
     as_tensor4,
     mix_seed,
-    nchw_index,
     read_labels,
     read_tensor,
     write_labels,
@@ -31,40 +28,6 @@ def reference_splitmix64(seed, count):
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
         out.append(z ^ (z >> 31))
     return out
-
-
-class TestIndexing:
-    def test_origin(self):
-        assert nchw_index(0, 0, 0, 0, (2, 3, 5, 6)) == 0
-
-    def test_hand_computed(self):
-        # 1*90 + 2*30 + 3*6 + 4
-        assert nchw_index(1, 2, 3, 4, (2, 3, 5, 6)) == 172
-
-    def test_final_element(self):
-        assert nchw_index(1, 2, 4, 5, (2, 3, 5, 6)) == 2 * 3 * 5 * 6 - 1
-
-    def test_out_of_bounds(self):
-        with pytest.raises(IndexError):
-            nchw_index(0, 3, 0, 0, (2, 3, 5, 6))
-        with pytest.raises(IndexError):
-            nchw_index(0, 0, -1, 0, (2, 3, 5, 6))
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)))
-    def test_bijection(self, shape):
-        seen = set()
-        for idx in np.ndindex(shape):
-            flat = nchw_index(*idx, shape)
-            assert 0 <= flat < np.prod(shape)
-            seen.add(flat)
-        assert len(seen) == np.prod(shape)
-
-    def test_matches_numpy_layout(self):
-        shape = (2, 3, 4, 5)
-        arr = np.arange(np.prod(shape), dtype=np.float64).reshape(shape)
-        for idx in ((0, 0, 0, 0), (1, 2, 3, 4), (1, 0, 2, 1)):
-            assert arr[idx] == arr.ravel()[nchw_index(*idx, shape)]
 
 
 class TestRng:
@@ -148,6 +111,21 @@ class TestTensor4:
         with pytest.raises(IOError):
             read_tensor(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "t.bin"
+        write_tensor(path, np.zeros((1, 1, 1, 1)))
+        path.write_bytes(path.read_bytes() + b"\0" * 7)
+        with pytest.raises(IOError, match="trailing"):
+            read_tensor(path)
+
+    def test_huge_header_rejected_before_reading(self, tmp_path):
+        # dims 65535^4 claim about 1.5e20 bytes; the size check must fire
+        # before any read of that length is attempted
+        path = tmp_path / "t.bin"
+        path.write_bytes(np.array([65535] * 4, dtype="<u4").tobytes())
+        with pytest.raises(IOError, match="truncated"):
+            read_tensor(path)
+
 
 class TestLabelMap:
     def test_valid_mask(self):
@@ -165,3 +143,14 @@ class TestLabelMap:
         back = read_labels(path, 3)
         assert np.array_equal(back.labels, lm.labels)
         assert back.num_classes == 3
+
+    def test_label_dump_size_checked(self, tmp_path):
+        path = tmp_path / "l.bin"
+        write_labels(path, LabelMap(np.zeros((1, 2, 2), int), 3))
+        raw = path.read_bytes()
+        path.write_bytes(raw + b"\0" * 4)
+        with pytest.raises(IOError, match="trailing"):
+            read_labels(path, 3)
+        path.write_bytes(np.array([65535, 1, 65535, 65535], dtype="<u4").tobytes())
+        with pytest.raises(IOError, match="truncated"):
+            read_labels(path, 3)

@@ -11,9 +11,7 @@ from lau.synth import (
     gen_sample,
     miou,
     pix_acc,
-    read_dataset,
     speckle_rate,
-    write_dataset,
 )
 
 
@@ -54,14 +52,6 @@ class TestGenerator:
     def test_indivisible_size_rejected(self):
         with pytest.raises(ConfigError):
             gen_dataset(0, 1, 30, 30, 4, 8, 0.25)
-
-    def test_dump_round_trip(self, tmp_path):
-        samples = gen_dataset(5, 3, 32, 32, 4, 8, 0.25)
-        write_dataset(tmp_path, samples)
-        back = read_dataset(tmp_path, 3, 4)
-        for s, t in zip(samples, back):
-            assert np.array_equal(s.features, t.features)
-            assert np.array_equal(s.labels.labels, t.labels.labels)
 
 
 class TestPixAcc:
