@@ -38,6 +38,6 @@ from .net import (
     sgd_step,
     train,
 )
-from .synth import SynthSample, gen_dataset, miou, pix_acc, speckle_rate
+from .synth import SynthSample, miou, pix_acc, speckle_rate
 
 __version__ = "0.1.0"

@@ -1,11 +1,14 @@
 """Prepared finite-difference check suites for every differentiable op.
 
-Each case generator draws random instances deterministically from a seed
-and rejects draws whose evaluation point sits too close to a kink: integer
-lattice hits of the sampling kernel, clamp boundaries, leaky-ReLU zeros,
-loss-branch switches, or the smooth-L1 transition. Central differences are
-meaningless across those, and the margins (default 1e-3 in coordinate
-space, 1e-4 in loss space) keep every probe on one smooth piece.
+Every op suite runs through one loop, `_suite`: it asks the op's `draw`
+for a random instance, deterministically from a seed, and passes each
+accepted instance to `gradcheck` at one point. A draw is rejected when its
+evaluation point sits too close to a kink: integer lattice hits of the
+sampling kernel, clamp boundaries, leaky-ReLU zeros, loss-branch switches,
+or the smooth-L1 transition. Central differences are meaningless across
+those, and the margins (1e-3 in coordinate space, 1e-4 in loss space) keep
+every probe on one smooth piece. After 100 rejections in a row the suite
+raises RuntimeError instead of looping on.
 
 Probe scalars are reduced with exact summation (math.fsum): at step 1e-6
 ordinary float64 accumulation over a few hundred terms already costs more
@@ -33,14 +36,14 @@ from .net import (
     GradcheckReport,
     TrainConfig,
     _guided_terms,
+    _params,
     _regression_terms,
     build_net,
     conv2d_backward,
     conv2d_forward,
-    flatten_params,
     gradcheck,
+    loss_and_grads,
     network_forward,
-    network_loss_fn,
 )
 from .samplers import OffsetField, lau_backward, lau_forward, lau_source_coords
 
@@ -55,6 +58,7 @@ __all__ = [
 
 COORD_MARGIN = 1e-3
 BRANCH_MARGIN = 1e-4
+MAX_REJECTIONS = 100
 # Smallest nonzero derivative a float64 central difference at h=1e-6 can
 # certify to 1e-5 relative error: the two probe evaluations each carry
 # ~1e-15 rounding on the affected elements, i.e. ~1e-9 after dividing by
@@ -63,8 +67,25 @@ BRANCH_MARGIN = 1e-4
 FD_FLOOR = 2e-4
 
 
+def _flat(*arrays) -> np.ndarray:
+    return np.concatenate([a.ravel() for a in arrays])
+
+
+def _split(vec: np.ndarray, *shapes) -> list:
+    """Inverse of _flat: consecutive views of vec reshaped to `shapes`.
+
+    Plain slicing: np.split costs about 5% of a small sampler probe.
+    """
+    parts, pos = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        parts.append(vec[pos : pos + size].reshape(shape))
+        pos += size
+    return parts
+
+
 def _well_conditioned(*grads) -> bool:
-    probe = np.abs(np.concatenate([g.ravel() for g in grads]))
+    probe = np.abs(_flat(*grads))
     return not ((probe > 0.0) & (probe < FD_FLOOR)).any()
 
 
@@ -74,107 +95,123 @@ def _np_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _coords_safe(u_shape, off: OffsetField, k: int, margin: float = COORD_MARGIN) -> bool:
+def _suite(subject: str, draw, seed: int, cases: int, h: float, tolerance: float) -> GradcheckReport:
+    """FD-check `cases` accepted draws; draw(rng) gives (fn, point) or None."""
+    rng = _np_rng(seed)
+    failures = []
+    max_rel = 0.0
+    for _ in range(cases):
+        for _attempt in range(MAX_REJECTIONS):
+            case = draw(rng)
+            if case is not None:
+                break
+        else:
+            raise RuntimeError(f"{subject}: {MAX_REJECTIONS} draws in a row sat too close to a kink")
+        rep = gradcheck(case[0], [case[1]], h=h, tolerance=tolerance)
+        max_rel = max(max_rel, rep.max_rel_err)
+        failures += rep.failures
+    return GradcheckReport(subject, cases, max_rel, failures)
+
+
+def _coords_safe(u_shape, off: OffsetField, k: int) -> bool:
     _, _, h, w = u_shape
     qx, qy = lau_source_coords(h, w, off, k)
     for q, hi in ((qx, w - 1.0), (qy, h - 1.0)):
-        if (np.abs(q - np.round(q)) <= margin).any():
+        if (np.abs(q - np.round(q)) <= COORD_MARGIN).any():
             return False
-        if (np.abs(q) <= margin).any() or (np.abs(q - hi) <= margin).any():
+        if (np.abs(q) <= COORD_MARGIN).any() or (np.abs(q - hi) <= COORD_MARGIN).any():
             return False
     return True
 
 
-def _safe_offsets(rng, n, m, h, w, k, spread=1.5, margin: float = COORD_MARGIN) -> OffsetField:
+def _safe_offsets(rng, n, m, h, w, k) -> OffsetField:
     shape = (n, m, k * h, k * w)
     while True:
-        off = OffsetField(rng.uniform(-spread, spread, shape), rng.uniform(-spread, spread, shape))
-        if _coords_safe((n, 1, h, w), off, k, margin):
+        off = OffsetField(rng.uniform(-1.5, 1.5, shape), rng.uniform(-1.5, 1.5, shape))
+        if _coords_safe((n, 1, h, w), off, k):
             return off
+
+
+def _lau_draw(rng):
+    n = int(rng.integers(1, 3))
+    c = int(rng.integers(1, 4))
+    hh = int(rng.integers(2, 4))
+    ww = int(rng.integers(2, 4))
+    k = int(rng.choice([1, 2, 3, 4]))
+    m = c if rng.random() < 0.3 else 1
+    u = rng.normal(size=(n, c, hh, ww))
+    off = _safe_offsets(rng, n, m, hh, ww, k)
+    dv = rng.normal(size=(n, c, k * hh, k * ww))
+    du0, doff0 = lau_backward(u, off, k, dv)
+    if not _well_conditioned(du0, doff0.dx, doff0.dy):
+        return None
+
+    def fn(vec):
+        uu, dx, dy = _split(vec, u.shape, off.dx.shape, off.dy.shape)
+        o = OffsetField(dx, dy)
+        val = math.fsum((lau_forward(uu, o, k) * dv).ravel())
+        du, doff = lau_backward(uu, o, k, dv)
+        return val, _flat(du, doff.dx, doff.dy)
+
+    return fn, _flat(u, off.dx, off.dy)
 
 
 def lau_gradcheck(seed: int = 0, cases: int = 100, h: float = 1e-6, tolerance: float = 1e-5) -> GradcheckReport:
     """Check dU and the offset gradients of the refined sampler against FD."""
-    rng = _np_rng(seed)
-    failures = []
-    max_rel = 0.0
-    for _ in range(cases):
-        for _attempt in range(100):
-            n = int(rng.integers(1, 3))
-            c = int(rng.integers(1, 4))
-            hh = int(rng.integers(2, 4))
-            ww = int(rng.integers(2, 4))
-            k = int(rng.choice([1, 2, 3, 4]))
-            m = c if rng.random() < 0.3 else 1
-            u = rng.normal(size=(n, c, hh, ww))
-            off = _safe_offsets(rng, n, m, hh, ww, k)
-            dv = rng.normal(size=(n, c, k * hh, k * ww))
-            du0, doff0 = lau_backward(u, off, k, dv)
-            if _well_conditioned(du0, doff0.dx, doff0.dy):
-                break
-        else:
-            raise RuntimeError("no well-conditioned sampler case found")
-        nu = u.size
-        ndx = off.dx.size
+    return _suite("lau_backward", _lau_draw, seed, cases, h, tolerance)
 
-        def fn(vec):
-            uu = vec[:nu].reshape(u.shape)
-            o = OffsetField(
-                vec[nu : nu + ndx].reshape(off.dx.shape),
-                vec[nu + ndx :].reshape(off.dy.shape),
-            )
-            val = math.fsum((lau_forward(uu, o, k) * dv).ravel())
-            du, doff = lau_backward(uu, o, k, dv)
-            return val, np.concatenate([du.ravel(), doff.dx.ravel(), doff.dy.ravel()])
 
-        point = np.concatenate([u.ravel(), off.dx.ravel(), off.dy.ravel()])
-        rep = gradcheck(fn, [point], h=h, tolerance=tolerance)
-        max_rel = max(max_rel, rep.max_rel_err)
-        failures += rep.failures
-    return GradcheckReport("lau_backward", cases, max_rel, failures)
+def _conv_draw(rng):
+    n = int(rng.integers(1, 3))
+    cin = int(rng.integers(1, 4))
+    cout = int(rng.integers(1, 4))
+    kk = int(rng.choice([1, 3]))
+    hh = int(rng.integers(2, 5))
+    ww = int(rng.integers(2, 5))
+    x = rng.normal(size=(n, cin, hh, ww))
+    w = rng.normal(size=(cout, cin, kk, kk))
+    b = rng.normal(size=cout)
+    dy = rng.normal(size=(n, cout, hh, ww))
+    if not _well_conditioned(*conv2d_backward(ConvLayer(cin, cout, kk, w, b), x, dy)):
+        return None
+
+    def fn(vec):
+        xv, wv, bv = _split(vec, x.shape, w.shape, b.shape)
+        layer = ConvLayer(cin, cout, kk, wv, bv)
+        val = math.fsum((conv2d_forward(layer, xv) * dy).ravel())
+        return val, _flat(*conv2d_backward(layer, xv, dy))
+
+    return fn, _flat(x, w, b)
 
 
 def conv_gradcheck(seed: int = 0, cases: int = 20, h: float = 1e-6, tolerance: float = 1e-5) -> GradcheckReport:
     """Check conv input/weight/bias gradients against FD."""
-    rng = _np_rng(seed)
-    failures = []
-    max_rel = 0.0
-    for _ in range(cases):
-        for _attempt in range(100):
-            n = int(rng.integers(1, 3))
-            cin = int(rng.integers(1, 4))
-            cout = int(rng.integers(1, 4))
-            kk = int(rng.choice([1, 3]))
-            hh = int(rng.integers(2, 5))
-            ww = int(rng.integers(2, 5))
-            x = rng.normal(size=(n, cin, hh, ww))
-            w = rng.normal(size=(cout, cin, kk, kk))
-            b = rng.normal(size=cout)
-            dy = rng.normal(size=(n, cout, hh, ww))
-            layer0 = ConvLayer(cin, cout, kk, w, b)
-            dx0, dw0, db0 = conv2d_backward(layer0, x, dy)
-            if _well_conditioned(dx0, dw0, db0):
-                break
-        else:
-            raise RuntimeError("no well-conditioned conv case found")
-        nx, nw = x.size, w.size
+    return _suite("conv2d_backward", _conv_draw, seed, cases, h, tolerance)
 
-        def fn(vec):
-            layer = ConvLayer(
-                cin, cout, kk,
-                vec[nx : nx + nw].reshape(w.shape),
-                vec[nx + nw :],
-            )
-            xx = vec[:nx].reshape(x.shape)
-            val = math.fsum((conv2d_forward(layer, xx) * dy).ravel())
-            dx, dw, db = conv2d_backward(layer, xx, dy)
-            return val, np.concatenate([dx.ravel(), dw.ravel(), db.ravel()])
 
-        point = np.concatenate([x.ravel(), w.ravel(), b.ravel()])
-        rep = gradcheck(fn, [point], h=h, tolerance=tolerance)
-        max_rel = max(max_rel, rep.max_rel_err)
-        failures += rep.failures
-    return GradcheckReport("conv2d_backward", cases, max_rel, failures)
+def _guided_draw(rng):
+    lam = 0.3
+    n, c, hh, ww = 1, int(rng.integers(2, 5)), int(rng.integers(2, 4)), int(rng.integers(2, 4))
+    logits = rng.normal(size=(n, c, hh, ww))
+    aux_logits = rng.normal(size=(n, c, hh, ww))
+    raw = rng.integers(-1, c, size=(n, hh, ww))
+    if (raw < 0).all():
+        return None
+    labels = LabelMap(raw, c)
+    ce = cross_entropy_map(logits, labels)
+    ce_aux = cross_entropy_map(aux_logits, labels)
+    if (np.abs(ce.values - ce_aux.values)[labels.valid] <= BRANCH_MARGIN).any():
+        return None
+    nv = int(labels.valid.sum())
+
+    def fn(vec):
+        lg = vec.reshape(logits.shape)
+        m = cross_entropy_map(lg, labels)
+        lam_w = guided_weight(m, ce_aux, lam)
+        grad = cross_entropy_backward(lg, labels, np.where(labels.valid, lam_w / nv, 0.0))
+        return reduce_loss(offset_guided_loss(m, ce_aux, lam)), grad.ravel()
+
+    return fn, logits.ravel()
 
 
 def guided_loss_gradcheck(seed: int = 0, cases: int = 20, h: float = 1e-6, tolerance: float = 1e-5) -> GradcheckReport:
@@ -183,38 +220,7 @@ def guided_loss_gradcheck(seed: int = 0, cases: int = 20, h: float = 1e-6, toler
     The comparison weight is constant on each smooth piece, so away from
     switching points the analytic gradient is weight * plain CE gradient.
     """
-    rng = _np_rng(seed)
-    lam = 0.3
-    failures = []
-    max_rel = 0.0
-    done = 0
-    while done < cases:
-        n, c, hh, ww = 1, int(rng.integers(2, 5)), int(rng.integers(2, 4)), int(rng.integers(2, 4))
-        logits = rng.normal(size=(n, c, hh, ww))
-        aux_logits = rng.normal(size=(n, c, hh, ww))
-        raw = rng.integers(-1, c, size=(n, hh, ww))
-        if (raw < 0).all():
-            continue
-        labels = LabelMap(raw, c)
-        ce = cross_entropy_map(logits, labels)
-        ce_aux = cross_entropy_map(aux_logits, labels)
-        gap = np.abs(ce.values - ce_aux.values)[labels.valid]
-        if (gap <= BRANCH_MARGIN).any():
-            continue
-        done += 1
-        nv = int(labels.valid.sum())
-
-        def fn(vec):
-            lg = vec.reshape(logits.shape)
-            m = cross_entropy_map(lg, labels)
-            lam_w = guided_weight(m, ce_aux, lam)
-            grad = cross_entropy_backward(lg, labels, np.where(labels.valid, lam_w / nv, 0.0))
-            return reduce_loss(offset_guided_loss(m, ce_aux, lam)), grad.ravel()
-
-        rep = gradcheck(fn, [logits.ravel()], h=h, tolerance=tolerance)
-        max_rel = max(max_rel, rep.max_rel_err)
-        failures += rep.failures
-    return GradcheckReport("offset_guided_loss", cases, max_rel, failures)
+    return _suite("offset_guided_loss", _guided_draw, seed, cases, h, tolerance)
 
 
 def _candidate_margins_ok(cs) -> bool:
@@ -234,6 +240,26 @@ def _candidate_margins_ok(cs) -> bool:
     return True
 
 
+def _regression_draw(rng):
+    gamma, lam = 0.1, 0.3
+    n, c, hh, ww = 1, int(rng.integers(2, 5)), 2, 2
+    k = int(rng.choice([1, 2]))
+    u = rng.normal(size=(n, c, hh, ww))
+    labels = LabelMap(rng.integers(0, c, size=(n, k * hh, k * ww)), c)
+    off = _safe_offsets(rng, n, 1, hh, ww, k)
+    if not _candidate_margins_ok(build_candidate_set(u, off, k, 1, labels)):
+        return None
+
+    def fn(vec):
+        o = OffsetField(*_split(vec, off.dx.shape, off.dy.shape))
+        out, weights, direct, _ = _regression_terms(u, o, k, 1, labels, gamma, lam)
+        dlogits = cross_entropy_backward(lau_forward(u, o, k), labels, weights)
+        _, doff = lau_backward(u, o, k, dlogits)
+        return reduce_loss(out), _flat(doff.dx + direct.dx, doff.dy + direct.dy)
+
+    return fn, _flat(off.dx, off.dy)
+
+
 def regression_loss_gradcheck(seed: int = 0, cases: int = 20, h: float = 1e-6, tolerance: float = 1e-5) -> GradcheckReport:
     """FD check of the regression loss gradient w.r.t. the offsets.
 
@@ -241,38 +267,7 @@ def regression_loss_gradcheck(seed: int = 0, cases: int = 20, h: float = 1e-6, t
     into the weighted cross-entropy term, and directly through the
     smooth-L1 pull toward the selected candidate.
     """
-    rng = _np_rng(seed)
-    gamma, lam = 0.1, 0.3
-    failures = []
-    max_rel = 0.0
-    done = 0
-    while done < cases:
-        n, c, hh, ww = 1, int(rng.integers(2, 5)), 2, 2
-        k = int(rng.choice([1, 2]))
-        u = rng.normal(size=(n, c, hh, ww))
-        labels = LabelMap(rng.integers(0, c, size=(n, k * hh, k * ww)), c)
-        off = _safe_offsets(rng, n, 1, hh, ww, k)
-        cs = build_candidate_set(u, off, k, lambda v: v, labels)
-        if not _candidate_margins_ok(cs):
-            continue
-        done += 1
-        ndx = off.dx.size
-        shape = off.dx.shape
-
-        def fn(vec):
-            o = OffsetField(vec[:ndx].reshape(shape), vec[ndx:].reshape(shape))
-            out, weights, direct, _ = _regression_terms(u, o, k, 1, labels, gamma, lam)
-            dlogits = cross_entropy_backward(lau_forward(u, o, k), labels, weights)
-            _, doff = lau_backward(u, o, k, dlogits)
-            ddx = doff.dx + direct.dx
-            ddy = doff.dy + direct.dy
-            return reduce_loss(out), np.concatenate([ddx.ravel(), ddy.ravel()])
-
-        point = np.concatenate([off.dx.ravel(), off.dy.ravel()])
-        rep = gradcheck(fn, [point], h=h, tolerance=tolerance)
-        max_rel = max(max_rel, rep.max_rel_err)
-        failures += rep.failures
-    return GradcheckReport("regression_loss", cases, max_rel, failures)
+    return _suite("regression_loss", _regression_draw, seed, cases, h, tolerance)
 
 
 def _toy_config(loss_kind: str, seed: int) -> TrainConfig:
@@ -344,9 +339,15 @@ def _network_instance(seed: int, loss_kind: str):
 def network_gradcheck(seed: int = 0, loss_kind: str = "ce", h: float = 1e-5, tolerance: float = 1e-4) -> GradcheckReport:
     """End-to-end FD check over every trainable parameter of the toy net."""
     net, cfg, features, labels = _network_instance(seed, loss_kind)
-    fn = network_loss_fn(net, cfg, features, labels)
-    point = flatten_params(net)
-    rep = gradcheck(fn, [point], h=h, tolerance=tolerance)
+    params = _params(net)
+
+    def fn(vec):
+        for arr, part in zip(params, _split(vec, *(p.shape for p in params))):
+            arr[...] = part
+        scalar, grads = loss_and_grads(net, cfg, features, labels)
+        return scalar, _flat(*grads)
+
+    rep = gradcheck(fn, [_flat(*params)], h=h, tolerance=tolerance)
     rep.subject = f"network/{loss_kind}"
     return rep
 

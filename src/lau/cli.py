@@ -20,7 +20,7 @@ from .checks import standard_suite
 from .core import ConfigError, read_tensor
 from .net import TrainConfig, network_forward, save_checkpoint, train
 from .samplers import (
-    Corner,
+    CORNERS,
     OffsetField,
     bilinear_upsample,
     corner_upsample,
@@ -173,12 +173,7 @@ def cmd_gradcheck(args) -> int:
     return 0 if total_failures == 0 else 1
 
 
-_CORNER_NAMES = {
-    "corner-ff": Corner("floor", "floor"),
-    "corner-cf": Corner("ceil", "floor"),
-    "corner-fc": Corner("floor", "ceil"),
-    "corner-cc": Corner("ceil", "ceil"),
-}
+_CORNER_NAMES = {f"corner-{c}": c for c in CORNERS}
 
 
 def cmd_demo(args) -> int:

@@ -16,18 +16,20 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "IGNORE",
     "ShapeError",
     "ConfigError",
     "Rng",
     "LabelMap",
     "as_tensor4",
-    "read_labels",
     "read_tensor",
-    "write_labels",
     "write_tensor",
 ]
 
 _MASK64 = (1 << 64) - 1
+
+# Label of pixels that carry no supervision.
+IGNORE = -1
 
 
 class ShapeError(ValueError):
@@ -56,11 +58,10 @@ def as_tensor4(a) -> np.ndarray:
 
 @dataclass
 class LabelMap:
-    """Integer class assignments per pixel with a reserved ignore value."""
+    """Integer class assignments per pixel; IGNORE marks unsupervised pixels."""
 
     labels: np.ndarray  # (n, h, w) integer array
     num_classes: int
-    ignore_value: int = -1
 
     def __post_init__(self):
         self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
@@ -68,13 +69,9 @@ class LabelMap:
             raise ShapeError(f"labels must be (n, h, w), got shape {self.labels.shape}")
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        if 0 <= self.ignore_value < self.num_classes:
-            raise ValueError("ignore_value must lie outside [0, num_classes)")
-        bad = (self.labels != self.ignore_value) & (
-            (self.labels < 0) | (self.labels >= self.num_classes)
-        )
+        bad = (self.labels != IGNORE) & ((self.labels < 0) | (self.labels >= self.num_classes))
         if bad.any():
-            raise ValueError("labels must be ignore_value or in [0, num_classes)")
+            raise ValueError(f"labels must be {IGNORE} (ignored) or in [0, num_classes)")
 
     @property
     def n(self) -> int:
@@ -91,7 +88,7 @@ class LabelMap:
     @property
     def valid(self) -> np.ndarray:
         """Boolean (n, h, w) mask, False where the label is ignored."""
-        return self.labels != self.ignore_value
+        return self.labels != IGNORE
 
 
 class Rng:
@@ -157,7 +154,7 @@ def mix_seed(seed: int, index: int) -> int:
 
 
 # Binary dump: 16-byte header of four little-endian u32 dims (n, c, h, w),
-# then n*c*h*w little-endian payload values in row-major order.
+# then n*c*h*w little-endian float64 values in row-major order.
 
 _HEADER = struct.Struct("<4I")
 
@@ -169,7 +166,7 @@ def write_tensor(path, u: np.ndarray) -> None:
         fh.write(u.astype("<f8", copy=False).tobytes(order="C"))
 
 
-def _read_dump(path, itemsize: int):
+def _read_dump(path):
     """Header dims and payload bytes of a dump whose file size matches them.
 
     The size is checked before the payload is read, so a corrupt or hostile
@@ -180,7 +177,7 @@ def _read_dump(path, itemsize: int):
         if len(raw) != _HEADER.size:
             raise IOError(f"{path}: truncated header")
         dims = _HEADER.unpack(raw)
-        want = _HEADER.size + itemsize * math.prod(dims)
+        want = _HEADER.size + 8 * math.prod(dims)
         size = os.fstat(fh.fileno()).st_size
         if size != want:
             problem = "truncated payload" if size < want else "trailing bytes"
@@ -189,20 +186,6 @@ def _read_dump(path, itemsize: int):
 
 
 def read_tensor(path) -> np.ndarray:
-    dims, payload = _read_dump(path, 8)
+    dims, payload = _read_dump(path)
     return np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)
 
-
-def write_labels(path, lm: LabelMap) -> None:
-    """Dump a label map with the tensor header convention and int32 payload."""
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(lm.n, 1, lm.h, lm.w))
-        fh.write(lm.labels.astype("<i4").tobytes(order="C"))
-
-
-def read_labels(path, num_classes: int, ignore_value: int = -1) -> LabelMap:
-    (n, c, h, w), payload = _read_dump(path, 4)
-    if c != 1:
-        raise IOError(f"{path}: label dump must have c=1, got {c}")
-    labels = np.frombuffer(payload, dtype="<i4").astype(np.int64).reshape(n, h, w)
-    return LabelMap(labels, num_classes=num_classes, ignore_value=ignore_value)

@@ -19,7 +19,6 @@ and through the predicted coordinates inside the smooth-L1 term.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .core import LabelMap, ShapeError, as_tensor4
 from .samplers import (
     CORNERS,
     OffsetField,
+    bilinear_upsample,
     corner_source_coords,
     corner_upsample,
     lau_forward,
@@ -232,22 +232,16 @@ def _pool_mean(values: np.ndarray, valid: np.ndarray, r: int) -> LossMap:
     return LossMap(mean, ok)
 
 
-def build_candidate_set(
-    u: np.ndarray,
-    off: OffsetField,
-    k: int,
-    logits_fn: Callable[[np.ndarray], np.ndarray],
-    labels: LabelMap,
-) -> CandidateSet:
+def build_candidate_set(u: np.ndarray, off: OffsetField, k: int, rest: int,
+                        labels: LabelMap) -> CandidateSet:
     """Assemble the 5-way candidate losses and coordinates for one batch.
 
-    Each candidate runs its sampler at ratio k, maps the result through
-    `logits_fn` (identity when the upsampled tensor already is the logits),
-    and scores it with cross-entropy against `labels`. If `logits_fn`
-    enlarges the map by a further integer factor, the per-pixel losses are
-    averaged back over that factor's blocks so losses and coordinates agree
-    on the sampler's output grid. Corner entries are constants; only the
-    index-0 path is meant to carry gradient.
+    Each candidate runs its sampler at ratio k, brings the result to label
+    resolution with the plain bilinear stage over the remaining factor
+    `rest`, and scores it with cross-entropy against `labels`. The
+    per-pixel losses are averaged back over each rest-by-rest block so
+    losses and coordinates agree on the sampler's output grid. Corner
+    entries are constants; only the index-0 path is meant to carry gradient.
     """
     u = as_tensor4(u)
     if off.m != 1:
@@ -255,16 +249,8 @@ def build_candidate_set(
     n, c, h, w = u.shape
 
     def score(v: np.ndarray) -> LossMap:
-        logits = logits_fn(v)
-        lm = cross_entropy_map(logits, labels)
-        lh, lw = lm.shape[1], lm.shape[2]
-        if (lh, lw) == (off.h_out, off.w_out):
-            return lm
-        if lh % off.h_out or lw % off.w_out or lh // off.h_out != lw // off.w_out:
-            raise ShapeError(
-                f"loss resolution {(lh, lw)} is not an integer multiple of ({off.h_out}, {off.w_out})"
-            )
-        return _pool_mean(lm.values, lm.valid, lh // off.h_out)
+        lm = cross_entropy_map(bilinear_upsample(v, rest), labels)
+        return _pool_mean(lm.values, lm.valid, rest)
 
     losses = [score(lau_forward(u, off, k))]
     for corner in CORNERS:

@@ -280,16 +280,14 @@ def network_forward(net: SegNet, x: np.ndarray):
     else:
         off, pcache = None, None
         v1 = bilinear_upsample(u, net.lau_ratio)
-    logits = bilinear_upsample(v1, rest) if rest > 1 else v1
+    logits = bilinear_upsample(v1, rest)
     cache.update(f=f, u=u, off=off, pcache=pcache, v1=v1, rest=rest)
     return logits, cache
 
 
 def network_backward(net: SegNet, cache, dlogits: np.ndarray, doff_extra: OffsetField | None = None):
     """Backpropagate dlogits (plus any direct offset gradient) to all layers."""
-    rest = cache["rest"]
-    v1 = cache["v1"]
-    dv1 = bilinear_upsample_backward(v1.shape, rest, dlogits) if rest > 1 else dlogits
+    dv1 = bilinear_upsample_backward(cache["v1"].shape, cache["rest"], dlogits)
     grads = {}
     if net.predictor is not None:
         du, doff = lau_backward(cache["u"], cache["off"], net.lau_ratio, dv1)
@@ -399,9 +397,8 @@ def _stack_features(samples, idx):
     return np.concatenate([samples[i].features for i in idx], axis=0)
 
 
-def _stack_labels(samples, idx, num_classes, ignore_value):
-    labels = np.concatenate([samples[i].labels.labels for i in idx], axis=0)
-    return LabelMap(labels, num_classes, ignore_value)
+def _stack_labels(samples, idx, num_classes):
+    return LabelMap(np.concatenate([samples[i].labels.labels for i in idx], axis=0), num_classes)
 
 
 def _guided_terms(u, k: int, rest: int, ce: LossMap, labels: LabelMap, lam: float):
@@ -413,7 +410,7 @@ def _guided_terms(u, k: int, rest: int, ce: LossMap, labels: LabelMap, lam: floa
     Returns (guided loss map, per-pixel CE weights, auxiliary CE map).
     """
     aux = bilinear_upsample(u, k)
-    ce_aux = cross_entropy_map(bilinear_upsample(aux, rest) if rest > 1 else aux, labels)
+    ce_aux = cross_entropy_map(bilinear_upsample(aux, rest), labels)
     weights = np.where(ce.valid, guided_weight(ce, ce_aux, lam) / int(ce.valid.sum()), 0.0)
     return offset_guided_loss(ce, ce_aux, lam), weights, ce_aux
 
@@ -425,22 +422,17 @@ def _regression_terms(u, off: OffsetField, k: int, rest: int, labels: LabelMap,
     Returns (loss map at the sampler's output grid, per-pixel CE weights at
     label resolution, smooth-L1 gradient on the offsets, candidate set).
     """
-    rest_fn = (lambda v: bilinear_upsample(v, rest)) if rest > 1 else (lambda v: v)
-    cs = build_candidate_set(u, off, k, rest_fn, labels)
+    cs = build_candidate_set(u, off, k, rest, labels)
     out = regression_loss(cs, gamma, lam)
     ns = int(out.valid.sum())
     lam_w = regression_weight(cs, lam)
     # CE gradient: each full-res pixel inherits its stage block's weight
-    # over (stage count * block valid count); with rest == 1 this is the
-    # plain lambda-weight / valid-count map.
-    if rest > 1:
-        n, sh, sw = out.shape
-        counts = labels.valid.reshape(n, sh, rest, sw, rest).sum(axis=(2, 4))
-        per_block = np.where(out.valid, lam_w / (ns * np.maximum(counts, 1)), 0.0)
-        weights = np.repeat(np.repeat(per_block, rest, axis=1), rest, axis=2)
-        weights = np.where(labels.valid, weights, 0.0)
-    else:
-        weights = np.where(labels.valid, lam_w / ns, 0.0)
+    # over (stage count * block valid count).
+    n, sh, sw = out.shape
+    counts = labels.valid.reshape(n, sh, rest, sw, rest).sum(axis=(2, 4))
+    per_block = np.where(out.valid, lam_w / (ns * np.maximum(counts, 1)), 0.0)
+    weights = np.repeat(np.repeat(per_block, rest, axis=1), rest, axis=2)
+    weights = np.where(labels.valid, weights, 0.0)
     # direct offset gradient from the smooth-L1 pull toward theta_opt
     gx, gy = smooth_l1_grad(cs.coords[0], select_theta_opt(cs))
     scale = np.where(out.valid, gamma / ns, 0.0)
@@ -494,7 +486,7 @@ def evaluate(net: SegNet, cfg: TrainConfig, samples) -> dict:
     for lo, hi in _batches(len(samples), eval_batch):
         idx = range(lo, hi)
         features = _stack_features(samples, idx)
-        labels = _stack_labels(samples, idx, cfg.num_classes, samples[lo].labels.ignore_value)
+        labels = _stack_labels(samples, idx, cfg.num_classes)
         logits, cache = network_forward(net, features)
         scalar, _, _ = _loss_forward(net, cfg, logits, cache, labels)
         nv = int(labels.valid.sum())
@@ -503,7 +495,7 @@ def evaluate(net: SegNet, cfg: TrainConfig, samples) -> dict:
         preds.append(np.argmax(logits, axis=1))
         gts.append(labels.labels)
     pred_map = LabelMap(np.concatenate(preds), cfg.num_classes)
-    gt_map = LabelMap(np.concatenate(gts), cfg.num_classes, samples[0].labels.ignore_value)
+    gt_map = LabelMap(np.concatenate(gts), cfg.num_classes)
     return {
         "loss": loss_sum / loss_count,
         "pixacc": synth.pix_acc(pred_map, gt_map),
@@ -539,13 +531,12 @@ def train(cfg: TrainConfig, train_samples, val_samples) -> TrainResult:
     metrics = []
     it = 0
     order = list(range(len(train_samples)))
-    ignore = train_samples[0].labels.ignore_value
     for epoch in range(cfg.epochs):
         rng.shuffle(order)
         for lo, hi in batches:
             idx = order[lo:hi]
             features = _stack_features(train_samples, idx)
-            labels = _stack_labels(train_samples, idx, cfg.num_classes, ignore)
+            labels = _stack_labels(train_samples, idx, cfg.num_classes)
             _, grads = loss_and_grads(net, cfg, features, labels)
             lr = poly_lr(cfg.base_lr, it, total, cfg.power)
             sgd_step(params, grads, velocities, lr, cfg.momentum, decays)
@@ -572,13 +563,16 @@ class GradcheckReport:
         return not self.failures
 
 
-def gradcheck(fn, points, h: float = 1e-6, tolerance: float = 1e-5, subject: str = "fn") -> GradcheckReport:
+def gradcheck(fn, points, h: float = 1e-6, tolerance: float = 1e-5) -> GradcheckReport:
     """Compare fn's analytic gradient with central differences at each point.
 
     fn maps a flat float64 vector to (scalar value, gradient vector). The
     relative error is |a - n| / max(1e-8, |a| + |n|); entries above the
-    tolerance are recorded as failures, never raised.
+    tolerance are recorded as failures, never raised. The step h must be
+    finite and > 0 and the tolerance > 0, else ValueError.
     """
+    if not (np.isfinite(h) and h > 0 and tolerance > 0):
+        raise ValueError(f"need a finite step h > 0 and tolerance > 0, got h={h}, tolerance={tolerance}")
     max_rel = 0.0
     failures = []
     for pi, x in enumerate(points):
@@ -599,31 +593,7 @@ def gradcheck(fn, points, h: float = 1e-6, tolerance: float = 1e-5, subject: str
                 max_rel = rel
             if rel > tolerance:
                 failures.append(f"point {pi} coord {j}: analytic {a:.6e} numeric {num:.6e} rel {rel:.3e}")
-    return GradcheckReport(subject, len(points), max_rel, failures)
-
-
-def flatten_params(net: SegNet) -> np.ndarray:
-    return np.concatenate([arr.ravel() for arr in _params(net)])
-
-
-def set_params(net: SegNet, vector: np.ndarray) -> None:
-    pos = 0
-    for arr in _params(net):
-        arr[...] = vector[pos : pos + arr.size].reshape(arr.shape)
-        pos += arr.size
-    if pos != vector.size:
-        raise ShapeError(f"parameter vector length {vector.size} != {pos}")
-
-
-def network_loss_fn(net: SegNet, cfg: TrainConfig, features, labels):
-    """Wrap the full pipeline as a gradcheck subject over its parameters."""
-
-    def fn(vector):
-        set_params(net, vector)
-        scalar, grads = loss_and_grads(net, cfg, features, labels)
-        return scalar, np.concatenate([g.ravel() for g in grads])
-
-    return fn
+    return GradcheckReport("fn", len(points), max_rel, failures)
 
 
 # ---------------------------------------------------------------------------

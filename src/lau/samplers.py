@@ -147,10 +147,12 @@ def bilinear_upsample(u: np.ndarray, k: int) -> np.ndarray:
 
     Output pixel (y, x) interpolates U at (x/k, y/k) clamped into
     [0, w-1] x [0, h-1], so the rightmost/bottom output columns replicate
-    the border rows/columns for k > 1.
+    the border rows/columns for k > 1. k = 1 returns its (validated) input.
     """
     u = as_tensor4(u)
     k = _check_ratio(k)
+    if k == 1:
+        return u
     n, c, h, w = u.shape
     x0, x1, fx, y0, y1, fy = _upsample_cells(h, w, k)
     # Separable: columns first, then rows.
@@ -166,6 +168,8 @@ def bilinear_upsample_backward(in_shape, k: int, dv: np.ndarray) -> np.ndarray:
     dv = as_tensor4(dv)
     if dv.shape != (n, c, k * h, k * w):
         raise ShapeError(f"dv shape {dv.shape} does not match output ({n},{c},{k*h},{k*w})")
+    if k == 1:
+        return dv
     x0, x1, fx, y0, y1, fy = _upsample_cells(h, w, k)
     dt = np.zeros((n, c, h, k * w))
     np.add.at(dt, (slice(None), slice(None), y0), dv * (1.0 - fy)[:, None])

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, LabelMap, Rng, ShapeError, mix_seed
+from .core import LabelMap, Rng, ShapeError, mix_seed
 
 __all__ = [
     "SynthSample",
-    "gen_dataset",
     "gen_sample",
     "miou",
     "pix_acc",
@@ -79,18 +78,6 @@ def gen_sample(seed: int, index: int, height: int, width: int, num_classes: int,
     if noise_std > 0:
         features = features + rng.normals(features.shape, 0.0, noise_std)
     return SynthSample(features[None], LabelMap(labels[None], num_classes))
-
-
-def gen_dataset(seed: int, count: int, height: int, width: int, num_classes: int,
-                stride: int, noise_std: float) -> list:
-    if height % stride or width % stride:
-        raise ConfigError("image_size", f"({height}, {width}) not divisible by stride {stride}")
-    if num_classes < 2:
-        raise ConfigError("classes", "need at least 2 classes")
-    if noise_std < 0:
-        raise ConfigError("noise_std", "must be >= 0")
-    return [gen_sample(seed, i, height, width, num_classes, stride, noise_std)
-            for i in range(count)]
 
 
 def _check_pair(pred: LabelMap, gt: LabelMap):

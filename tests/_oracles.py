@@ -145,3 +145,14 @@ def random_safe_offsets(rng, n, m, h, w, k, spread=1.5, margin=1e-3):
             ok &= bool((np.abs(q) > margin).all() and (np.abs(q - hi) > margin).all())
         if ok:
             return OffsetField(dx, dy)
+
+
+def assert_adjoint(x, ax, y, aty):
+    """Dot-product test <Ax, y> = <x, A^T y> for a linear map A.
+
+    Both sides sum the same products in a different order, so they agree up
+    to rounding: the bound is 1e-12 * |Ax| * |y|.
+    """
+    lhs = float((ax * y).sum())
+    rhs = float((x * aty).sum())
+    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(ax) * np.linalg.norm(y)

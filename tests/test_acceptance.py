@@ -1,12 +1,14 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Runtime note: criterion 7 trains ten full default-scale models and
-dominates the suite's wall time (several minutes single-core).
+dominates the suite's wall time (several minutes single-core). It is marked
+`slow`, so `pytest -m "not slow"` runs everything else.
 """
 
 import time
 
 import numpy as np
+import pytest
 
 from _oracles import (
     oracle_corner,
@@ -173,6 +175,7 @@ def test_criterion_6_end_to_end_gradients():
     report(6, "end-to-end parameter gradients", ok, f"{detail} in {sw.seconds:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_7_directional_training_claim():
     seeds = [0, 1, 2, 3, 4]
     lau_scores, base_scores = [], []

@@ -252,6 +252,12 @@ class TestGradcheckCommand:
         assert rc in (0, 1)
         assert (tmp_path / "gradcheck.csv").exists()
 
+    @pytest.mark.parametrize("flag, value", [("--h", "0"), ("--tolerance", "nan")])
+    def test_degenerate_step_or_tolerance_rejected(self, tmp_path, capsys, flag, value):
+        assert main(["gradcheck", flag, value, "--out", str(tmp_path)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "gradcheck.csv").exists()
+
 
 class TestPpm:
     def test_format(self, tmp_path):

@@ -9,9 +9,7 @@ from lau.core import (
     ShapeError,
     as_tensor4,
     mix_seed,
-    read_labels,
     read_tensor,
-    write_labels,
     write_tensor,
 )
 
@@ -135,22 +133,3 @@ class TestLabelMap:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             LabelMap(np.array([[[5]]]), 3)
-
-    def test_label_dump_round_trip(self, tmp_path):
-        lm = LabelMap(np.array([[[0, 1], [-1, 2]]]), 3)
-        path = tmp_path / "l.bin"
-        write_labels(path, lm)
-        back = read_labels(path, 3)
-        assert np.array_equal(back.labels, lm.labels)
-        assert back.num_classes == 3
-
-    def test_label_dump_size_checked(self, tmp_path):
-        path = tmp_path / "l.bin"
-        write_labels(path, LabelMap(np.zeros((1, 2, 2), int), 3))
-        raw = path.read_bytes()
-        path.write_bytes(raw + b"\0" * 4)
-        with pytest.raises(IOError, match="trailing"):
-            read_labels(path, 3)
-        path.write_bytes(np.array([65535, 1, 65535, 65535], dtype="<u4").tobytes())
-        with pytest.raises(IOError, match="truncated"):
-            read_labels(path, 3)

@@ -28,7 +28,9 @@ from lau.net import (
     train,
 )
 from lau.samplers import pixel_shuffle
-from lau.synth import gen_dataset
+from lau.synth import gen_sample
+
+from _oracles import assert_adjoint
 
 
 def toy_config(**overrides):
@@ -65,6 +67,16 @@ class TestConv:
             for j in range(3):
                 ref = (xp[0, :, i : i + 3, j : j + 3] * layer.weights[0]).sum() + layer.bias[0]
                 assert y[0, 0, i, j] == pytest.approx(ref)
+
+    @pytest.mark.parametrize("kernel", [1, 3])
+    def test_dx_adjoint_identity(self, kernel):
+        # zero bias makes the forward linear in x
+        rng = np.random.default_rng(3)
+        layer = ConvLayer(3, 4, kernel, rng.normal(size=(4, 3, kernel, kernel)), np.zeros(4))
+        x = rng.normal(size=(2, 3, 5, 4))
+        dy = rng.normal(size=(2, 4, 5, 4))
+        dx, _, _ = conv2d_backward(layer, x, dy)
+        assert_adjoint(x, conv2d_forward(layer, x), dy, dx)
 
     def test_gradcheck(self):
         rep = conv_gradcheck(seed=0, cases=10)
@@ -248,6 +260,37 @@ class TestGradcheckHarness:
         assert r1.max_rel_err == r2.max_rel_err
         assert r1.failures == r2.failures
 
+    @pytest.mark.parametrize("streak, raises", [(99, False), (100, True)])
+    def test_suite_gives_up_after_100_rejections_in_a_row(self, streak, raises):
+        from lau.checks import _suite
+
+        calls = []
+
+        def draw(rng):
+            calls.append(None)
+            if len(calls) <= streak:
+                return None
+            return (lambda x: (float(x @ x), 2.0 * x)), np.ones(2)
+
+        if raises:
+            with pytest.raises(RuntimeError):
+                _suite("toy", draw, 0, 1, 1e-6, 1e-5)
+        else:
+            assert _suite("toy", draw, 0, 1, 1e-6, 1e-5).passed
+
+    @pytest.mark.parametrize("h, tolerance", [
+        (0.0, 1e-5), (float("nan"), 1e-5), (float("inf"), 1e-5),
+        (1e-6, 0.0), (1e-6, float("nan")),
+    ])
+    def test_rejects_degenerate_step_or_tolerance(self, h, tolerance):
+        # a gradient 1.5x too large must never pass: nan comparisons are
+        # all False, so a nan step or tolerance would record no failure
+        def fn(x):
+            return float(x @ x), 3.0 * x
+
+        with pytest.raises(ValueError):
+            gradcheck(fn, [np.ones(3)], h=h, tolerance=tolerance)
+
 
 class TestPolySchedule:
     def test_endpoints(self):
@@ -309,8 +352,9 @@ class TestSgd:
 class TestTraining:
     def make_data(self, cfg, count=8, val=4):
         h = 4 * cfg.total_upsample
-        train_set = gen_dataset(cfg.seed, count, h, h, cfg.num_classes, cfg.total_upsample, 0.25)
-        val_set = gen_dataset(cfg.seed + 999, val, h, h, cfg.num_classes, cfg.total_upsample, 0.25)
+        args = (h, h, cfg.num_classes, cfg.total_upsample, 0.25)
+        train_set = [gen_sample(cfg.seed, i, *args) for i in range(count)]
+        val_set = [gen_sample(cfg.seed + 999, i, *args) for i in range(val)]
         return train_set, val_set
 
     def test_deterministic_trajectories(self):

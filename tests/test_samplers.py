@@ -21,6 +21,7 @@ from lau.samplers import (
 )
 
 from _oracles import (
+    assert_adjoint,
     oracle_corner,
     oracle_kernel_sum,
     oracle_pixel_shuffle,
@@ -167,6 +168,18 @@ class TestLauBackward:
         assert np.allclose(du_a, 2.0 * du_1 + du_2, atol=1e-12)
         assert np.allclose(doff_a.dx, 2.0 * doff_1.dx + doff_2.dx, atol=1e-12)
 
+    @pytest.mark.parametrize("m", ["shared", "per-channel"])
+    def test_du_adjoint_identity(self, m):
+        rng = np.random.default_rng(15)
+        n, c, h, w, k = 2, 3, 3, 4, 2
+        groups = 1 if m == "shared" else c
+        shape = (n, groups, k * h, k * w)
+        off = OffsetField(rng.uniform(-1.5, 1.5, shape), rng.uniform(-1.5, 1.5, shape))
+        u = rng.normal(size=(n, c, h, w))
+        dv = rng.normal(size=(n, c, k * h, k * w))
+        du, _ = lau_backward(u, off, k, dv)
+        assert_adjoint(u, lau_forward(u, off, k), dv, du)
+
     def test_per_channel_groups(self):
         rng = np.random.default_rng(7)
         c = 3
@@ -210,6 +223,12 @@ class TestPixelShuffle:
         assert np.array_equal(pixel_unshuffle(pixel_shuffle(u, 2), 2), u)
         v = rng.normal(size=(2, 2, 6, 4))
         assert np.array_equal(pixel_shuffle(pixel_unshuffle(v, 2), 2), v)
+
+    def test_unshuffle_is_adjoint(self):
+        rng = np.random.default_rng(10)
+        u = rng.normal(size=(2, 8, 3, 2))
+        v = rng.normal(size=(2, 2, 6, 4))
+        assert_adjoint(u, pixel_shuffle(u, 2), v, pixel_unshuffle(v, 2))
 
     def test_rejects_indivisible_channels(self):
         with pytest.raises(ShapeError):
@@ -260,10 +279,9 @@ class TestBilinearBackward:
     def test_adjoint_identity(self):
         rng = np.random.default_rng(13)
         u = rng.normal(size=(2, 3, 3, 4))
-        dv = rng.normal(size=(2, 3, 6, 8))
-        lhs = float((bilinear_upsample(u, 2) * dv).sum())
-        rhs = float((u * bilinear_upsample_backward(u.shape, 2, dv)).sum())
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+        for k in (1, 2, 3):
+            dv = rng.normal(size=(2, 3, 3 * k, 4 * k))
+            assert_adjoint(u, bilinear_upsample(u, k), dv, bilinear_upsample_backward(u.shape, k, dv))
 
     def test_matches_lau_backward_at_zero_offsets(self):
         rng = np.random.default_rng(14)

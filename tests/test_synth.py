@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lau.core import ConfigError, LabelMap, ShapeError
+from lau.core import LabelMap, ShapeError
 from lau.synth import (
-    gen_dataset,
     gen_sample,
     miou,
     pix_acc,
@@ -17,14 +16,14 @@ from lau.synth import (
 
 class TestGenerator:
     def test_bytewise_determinism(self):
-        a = gen_dataset(42, 6, 32, 32, 4, 8, 0.25)
-        b = gen_dataset(42, 6, 32, 32, 4, 8, 0.25)
+        a = [gen_sample(42, i, 32, 32, 4, 8, 0.25) for i in range(6)]
+        b = [gen_sample(42, i, 32, 32, 4, 8, 0.25) for i in range(6)]
         for s, t in zip(a, b):
             assert np.array_equal(s.features, t.features)
             assert np.array_equal(s.labels.labels, t.labels.labels)
 
     def test_order_invariance(self):
-        full = gen_dataset(7, 5, 32, 32, 4, 8, 0.1)
+        full = [gen_sample(7, i, 32, 32, 4, 8, 0.1) for i in range(5)]
         third = gen_sample(7, 3, 32, 32, 4, 8, 0.1)
         assert np.array_equal(full[3].features, third.features)
         assert np.array_equal(full[3].labels.labels, third.labels.labels)
@@ -36,7 +35,7 @@ class TestGenerator:
         assert np.array_equal(f.sum(axis=0), np.ones((4, 4)))
 
     def test_every_sample_has_classes_and_boundaries(self):
-        for sample in gen_dataset(11, 20, 32, 32, 4, 8, 0.25):
+        for sample in (gen_sample(11, i, 32, 32, 4, 8, 0.25) for i in range(20)):
             labels = sample.labels.labels[0]
             assert len(np.unique(labels)) >= 2
             boundary = (labels[:, 1:] != labels[:, :-1]).any() or (
@@ -48,10 +47,6 @@ class TestGenerator:
         sample = gen_sample(0, 0, 64, 64, 5, 8, 0.25)
         assert sample.features.shape == (1, 5, 8, 8)
         assert sample.labels.labels.shape == (1, 64, 64)
-
-    def test_indivisible_size_rejected(self):
-        with pytest.raises(ConfigError):
-            gen_dataset(0, 1, 30, 30, 4, 8, 0.25)
 
 
 class TestPixAcc:
