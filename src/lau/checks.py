@@ -7,8 +7,8 @@ evaluation point sits too close to a kink: integer lattice hits of the
 sampling kernel, clamp boundaries, leaky-ReLU zeros, loss-branch switches,
 or the smooth-L1 transition. Central differences are meaningless across
 those, and the margins (1e-3 in coordinate space, 1e-4 in loss space) keep
-every probe on one smooth piece. After 100 rejections in a row the suite
-raises RuntimeError instead of looping on.
+every probe on one smooth piece. After 100 rejections in a row, of a case
+or of its offset field, the suite raises RuntimeError instead of looping on.
 
 Probe scalars are reduced with exact summation (math.fsum): at step 1e-6
 ordinary float64 accumulation over a few hundred terms already costs more
@@ -115,7 +115,7 @@ def _suite(subject: str, draw, seed: int, cases: int, h: float, tolerance: float
 
 def _coords_safe(u_shape, off: OffsetField, k: int) -> bool:
     _, _, h, w = u_shape
-    qx, qy = lau_source_coords(h, w, off, k)
+    qx, qy = lau_source_coords(off, k)
     for q, hi in ((qx, w - 1.0), (qy, h - 1.0)):
         if (np.abs(q - np.round(q)) <= COORD_MARGIN).any():
             return False
@@ -126,10 +126,11 @@ def _coords_safe(u_shape, off: OffsetField, k: int) -> bool:
 
 def _safe_offsets(rng, n, m, h, w, k) -> OffsetField:
     shape = (n, m, k * h, k * w)
-    while True:
+    for _attempt in range(MAX_REJECTIONS):
         off = OffsetField(rng.uniform(-1.5, 1.5, shape), rng.uniform(-1.5, 1.5, shape))
         if _coords_safe((n, 1, h, w), off, k):
             return off
+    raise RuntimeError(f"{MAX_REJECTIONS} offset draws in a row sat too close to a kink")
 
 
 def _lau_draw(rng):

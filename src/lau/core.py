@@ -166,8 +166,8 @@ def write_tensor(path, u: np.ndarray) -> None:
         fh.write(u.astype("<f8", copy=False).tobytes(order="C"))
 
 
-def _read_dump(path):
-    """Header dims and payload bytes of a dump whose file size matches them.
+def read_tensor(path) -> np.ndarray:
+    """Read a dump whose file size matches the dims in its header.
 
     The size is checked before the payload is read, so a corrupt or hostile
     header can never make the reader ask for more bytes than the file has.
@@ -182,10 +182,6 @@ def _read_dump(path):
         if size != want:
             problem = "truncated payload" if size < want else "trailing bytes"
             raise IOError(f"{path}: {problem}: dims {dims} need {want} bytes, file has {size}")
-        return dims, fh.read(want - _HEADER.size)
-
-
-def read_tensor(path) -> np.ndarray:
-    dims, payload = _read_dump(path)
+        payload = fh.read(want - _HEADER.size)
     return np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)
 

@@ -256,13 +256,13 @@ def build_candidate_set(u: np.ndarray, off: OffsetField, k: int, rest: int,
     for corner in CORNERS:
         losses.append(score(corner_upsample(u, k, corner)))
 
-    qx, qy = lau_source_coords(h, w, off, k)
+    qx, qy = lau_source_coords(off, k)
     coords = [CoordinateMap(qx[:, 0], qy[:, 0])]
     for corner in CORNERS:
-        xs, ys = corner_source_coords(h, w, off.h_out, off.w_out, k, corner)
-        px = np.broadcast_to(xs[None, None, :].astype(np.float64), (n, off.h_out, off.w_out))
-        py = np.broadcast_to(ys[None, :, None].astype(np.float64), (n, off.h_out, off.w_out))
-        coords.append(CoordinateMap(px.copy(), py.copy()))
+        xs, ys = corner_source_coords(h, w, k, corner)
+        px = np.broadcast_to(xs[None, None, :], (n, off.h_out, off.w_out))
+        py = np.broadcast_to(ys[None, :, None], (n, off.h_out, off.w_out))
+        coords.append(CoordinateMap(px, py))
     return CandidateSet(losses, coords)
 
 

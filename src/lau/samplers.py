@@ -14,8 +14,9 @@ source lattice around that point:
 * corner samplers: indicator kernels picking one of the four integer
   lattice corners (floor/ceil per axis) around the source point.
 
-All operations are pure; the backward pass accumulates in a fixed order so
-results are deterministic.
+All operations are pure; the backward passes accumulate in a fixed order so
+results are deterministic. A lau call reads each of its four taps once, and
+its dU adds the taps' contributions in tap order in a single scatter.
 """
 
 from __future__ import annotations
@@ -180,53 +181,50 @@ def bilinear_upsample_backward(in_shape, k: int, dv: np.ndarray) -> np.ndarray:
     return du
 
 
-def _lau_check(u: np.ndarray, off: OffsetField, k: int):
+def lau_source_coords(off: OffsetField, k: int):
+    """Raw source points (qx, qy) = (x/k + dx, y/k + dy), unclamped.
+
+    Returns (n, m, h_out, w_out) arrays matching the offset-group layout.
+    """
+    gx = np.arange(off.w_out, dtype=np.float64) / k
+    gy = np.arange(off.h_out, dtype=np.float64) / k
+    return gx[None, None, None, :] + off.dx, gy[None, None, :, None] + off.dy
+
+
+def _lau_taps(u: np.ndarray, off: OffsetField, k: int):
+    """Validate one lau call and read its four bilinear taps, once.
+
+    Returns (u, qx, qy, fx, fy, idx, taps): the validated input, the raw
+    source points and cell fractions in the offset-group layout, and the
+    flat indices into U and values of the (y0,x0), (y0,x1), (y1,x0), (y1,x1)
+    taps, each stacked as (4, n, c, k*h, k*w) for m = 1 and m = c alike.
+    """
+    u = as_tensor4(u)
+    k = _check_ratio(k)
     n, c, h, w = u.shape
     if off.n != n:
         raise ShapeError(f"offset batch {off.n} != tensor batch {n}")
     if off.m not in (1, c):
         raise ShapeError(f"offset groups must be 1 or {c}, got {off.m}")
     if (off.h_out, off.w_out) != (k * h, k * w):
-        raise ShapeError(
-            f"offset resolution {(off.h_out, off.w_out)} != output ({k * h}, {k * w})"
-        )
-
-
-def lau_source_coords(h: int, w: int, off: OffsetField, k: int):
-    """Raw source points (qx, qy) = (x/k + dx, y/k + dy), unclamped.
-
-    Returns (n, m, k*h, k*w) arrays matching the offset-group layout.
-    """
-    gx = np.arange(off.w_out, dtype=np.float64) / k
-    gy = np.arange(off.h_out, dtype=np.float64) / k
-    qx = gx[None, None, None, :] + off.dx
-    qy = gy[None, None, :, None] + off.dy
-    return qx, qy
+        raise ShapeError(f"offset resolution {(off.h_out, off.w_out)} != output ({k * h}, {k * w})")
+    qx, qy = lau_source_coords(off, k)
+    x0, x1, fx, y0, y1, fy = _cells(qx, qy, h, w)
+    plane = np.arange(n * c).reshape(n, c, 1, 1) * h
+    row0, row1 = (plane + y0) * w, (plane + y1) * w
+    idx = np.stack([row0 + x0, row0 + x1, row1 + x0, row1 + x1])
+    return u, qx, qy, fx, fy, idx, u.ravel()[idx]
 
 
 def lau_forward(u: np.ndarray, off: OffsetField, k: int) -> np.ndarray:
     """Upsample by k, shifting each output pixel's source point by its offset.
 
-    With an all-zero offset field this reproduces bilinear_upsample exactly.
-    Source points are clamped into the grid before interpolation.
+    Source points are clamped into the grid before interpolation. Taps are
+    blended x first, then y, as in bilinear_upsample, so an all-zero offset
+    field reproduces it bit for bit.
     """
-    u = as_tensor4(u)
-    k = _check_ratio(k)
-    _lau_check(u, off, k)
-    n, c, h, w = u.shape
-    qx, qy = lau_source_coords(h, w, off, k)
-    x0, x1, fx, y0, y1, fy = _cells(qx, qy, h, w)
-
-    # Index arrays have the offset-group layout (n, m, H, W); broadcasting
-    # against the channel axis covers both the shared (m=1) and per-channel
-    # (m=c) cases. The x-then-y association mirrors bilinear_upsample so the
-    # zero-offset case reproduces it bit for bit.
-    ni = np.arange(n)[:, None, None, None]
-    ci = np.arange(c)[None, :, None, None]
-    t0 = u[ni, ci, y0, x0] * (1.0 - fx) + u[ni, ci, y0, x1] * fx
-    t1 = u[ni, ci, y1, x0] * (1.0 - fx) + u[ni, ci, y1, x1] * fx
-    v = t0 * (1.0 - fy) + t1 * fy
-    return np.ascontiguousarray(v)
+    *_, fx, fy, _, t = _lau_taps(u, off, k)
+    return (t[0] * (1.0 - fx) + t[1] * fx) * (1.0 - fy) + (t[2] * (1.0 - fx) + t[3] * fx) * fy
 
 
 def lau_backward(u: np.ndarray, off: OffsetField, k: int, dv: np.ndarray):
@@ -238,51 +236,28 @@ def lau_backward(u: np.ndarray, off: OffsetField, k: int, dv: np.ndarray):
     -1 where it sits right, and 0 at exact lattice hits, at support edges,
     and wherever the raw (unclamped) point fell outside the grid.
     """
-    u = as_tensor4(u)
-    k = _check_ratio(k)
-    _lau_check(u, off, k)
+    u, qx, qy, fx, fy, idx, t = _lau_taps(u, off, k)
     dv = as_tensor4(dv)
-    n, c, h, w = u.shape
-    if dv.shape != (n, c, off.h_out, off.w_out):
-        raise ShapeError(f"dv shape {dv.shape} != output ({n},{c},{off.h_out},{off.w_out})")
+    if dv.shape != t.shape[1:]:
+        raise ShapeError(f"dv shape {dv.shape} != output {t.shape[1:]}")
 
-    qx, qy = lau_source_coords(h, w, off, k)
-    x0, x1, fx, y0, y1, fy = _cells(qx, qy, h, w)
-
-    ni = np.arange(n)[:, None, None, None]
-    ci = np.arange(c)[None, :, None, None]
-    bshape = (n, c, off.h_out, off.w_out)
-    nb = np.broadcast_to(ni, bshape)
-    cb = np.broadcast_to(ci, bshape)
-    x0b = np.broadcast_to(x0, bshape)
-    x1b = np.broadcast_to(x1, bshape)
-    y0b = np.broadcast_to(y0, bshape)
-    y1b = np.broadcast_to(y1, bshape)
-
-    du = np.zeros_like(u)
-    np.add.at(du, (nb, cb, y0b, x0b), dv * ((1 - fy) * (1 - fx)))
-    np.add.at(du, (nb, cb, y0b, x1b), dv * ((1 - fy) * fx))
-    np.add.at(du, (nb, cb, y1b, x0b), dv * (fy * (1 - fx)))
-    np.add.at(du, (nb, cb, y1b, x1b), dv * (fy * fx))
+    # One scatter in tap order: bincount adds in input order, so each dU
+    # entry sums its contributions exactly as four sequential passes would.
+    weights = np.stack([(1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx])
+    du = np.bincount(idx.ravel(), (dv * weights).ravel(), u.size).reshape(u.shape)
 
     # Kernel slope terms. At fx == 0 the point sits exactly on a column (or
     # on the replicated border), where the symmetric subgradient is 0; the
     # (fx > 0) mask also guarantees x1 = x0 + 1 is a genuine neighbor.
-    sx = ((u[ni, ci, y0, x1] - u[ni, ci, y0, x0]) * (1 - fy)
-          + (u[ni, ci, y1, x1] - u[ni, ci, y1, x0]) * fy)
-    sy = ((u[ni, ci, y1, x0] - u[ni, ci, y0, x0]) * (1 - fx)
-          + (u[ni, ci, y1, x1] - u[ni, ci, y0, x1]) * fx)
-    live_x = (fx > 0.0) & (qx >= 0.0) & (qx <= w - 1.0)
-    live_y = (fy > 0.0) & (qy >= 0.0) & (qy <= h - 1.0)
+    sx = (t[1] - t[0]) * (1 - fy) + (t[3] - t[2]) * fy
+    sy = (t[2] - t[0]) * (1 - fx) + (t[3] - t[1]) * fx
+    live_x = (fx > 0.0) & (qx >= 0.0) & (qx <= u.shape[3] - 1.0)
+    live_y = (fy > 0.0) & (qy >= 0.0) & (qy <= u.shape[2] - 1.0)
     gx = dv * sx * live_x
     gy = dv * sy * live_y
     if off.m == 1:
-        ddx = gx.sum(axis=1, keepdims=True)
-        ddy = gy.sum(axis=1, keepdims=True)
-    else:
-        ddx = gx
-        ddy = gy
-    return du, OffsetField(ddx, ddy)
+        gx, gy = gx.sum(axis=1, keepdims=True), gy.sum(axis=1, keepdims=True)
+    return du, OffsetField(gx, gy)
 
 
 def pixel_shuffle(u: np.ndarray, k: int) -> np.ndarray:
@@ -314,12 +289,12 @@ def pixel_unshuffle(v: np.ndarray, k: int) -> np.ndarray:
     return np.ascontiguousarray(u)
 
 
-def corner_source_coords(h: int, w: int, h_out: int, w_out: int, k: int, corner: Corner):
+def corner_source_coords(h: int, w: int, k: int, corner: Corner):
     """Clipped integer source coordinates (xs, ys) the corner sampler reads."""
     roundx = np.floor if corner.x_mode == "floor" else np.ceil
     roundy = np.floor if corner.y_mode == "floor" else np.ceil
-    xs = np.clip(roundx(np.arange(w_out, dtype=np.float64) / k), 0, w - 1).astype(np.intp)
-    ys = np.clip(roundy(np.arange(h_out, dtype=np.float64) / k), 0, h - 1).astype(np.intp)
+    xs = np.clip(roundx(np.arange(k * w, dtype=np.float64) / k), 0, w - 1).astype(np.intp)
+    ys = np.clip(roundy(np.arange(k * h, dtype=np.float64) / k), 0, h - 1).astype(np.intp)
     return xs, ys
 
 
@@ -328,5 +303,5 @@ def corner_upsample(u: np.ndarray, k: int, corner: Corner) -> np.ndarray:
     u = as_tensor4(u)
     k = _check_ratio(k)
     n, c, h, w = u.shape
-    xs, ys = corner_source_coords(h, w, k * h, k * w, k, corner)
+    xs, ys = corner_source_coords(h, w, k, corner)
     return np.ascontiguousarray(u[:, :, ys[:, None], xs[None, :]])

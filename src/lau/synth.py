@@ -19,6 +19,11 @@ import numpy as np
 
 from .core import LabelMap, Rng, ShapeError, mix_seed
 
+# Label maps drawn per sample before giving up on finding two classes. Seeds
+# 0-10 need at most 3 redraws at 64 px and 35 at 2 px; a 1 px map never has
+# two classes.
+MAX_REDRAWS = 1000
+
 __all__ = [
     "SynthSample",
     "gen_sample",
@@ -67,12 +72,26 @@ def _majority_pool(labels: np.ndarray, num_classes: int, k: int) -> np.ndarray:
 
 def gen_sample(seed: int, index: int, height: int, width: int, num_classes: int,
                stride: int, noise_std: float) -> SynthSample:
-    """Sample `index` of the dataset keyed by `seed`; order-independent."""
+    """Sample `index` of the dataset keyed by `seed`; order-independent.
+
+    Raises ValueError naming the argument when num_classes < 2, stride < 1,
+    or height or width is not a positive multiple of stride, and when no
+    label map with two classes turns up in MAX_REDRAWS draws.
+    """
+    if num_classes < 2:
+        raise ValueError(f"num_classes must be >= 2, got {num_classes}")
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    for name, size in (("height", height), ("width", width)):
+        if size < stride or size % stride:
+            raise ValueError(f"{name} must be a positive multiple of stride {stride}, got {size}")
     rng = Rng(mix_seed(seed, index))
-    while True:
+    for _ in range(MAX_REDRAWS):
         labels = _draw_labels(rng, height, width, num_classes)
         if len(np.unique(labels)) >= 2:
             break
+    else:
+        raise ValueError(f"no {height}x{width} label map with two classes in {MAX_REDRAWS} draws")
     pooled = _majority_pool(labels, num_classes, stride)
     features = (pooled[None] == np.arange(num_classes)[:, None, None]).astype(np.float64)
     if noise_std > 0:

@@ -1,9 +1,13 @@
-"""The library hooks the benchmark in perfbench/ relies on still resolve.
+"""The library hooks the benchmark in perfbench/ relies on still resolve and
+still see what its probes expect.
 
 perfbench/run.py wraps functions of lau.net and lau.checks and builds its
 set-ups from lau.cli and lau.core; a rename there would otherwise surface
-only when the benchmark runs. The check runs in a fresh interpreter because
-run.py pins the BLAS thread count before numpy is first imported.
+only when the benchmark runs. Its probes also rely on invariants of the
+training loop and the FD checks (one `reduce_loss` per training step, the
+loss as `fn(x)[0]`), so a little real work goes through them too. The checks
+run in a fresh interpreter because run.py pins the BLAS thread count before
+numpy is first imported.
 """
 
 import os
@@ -12,7 +16,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-SCRIPT = """
+HOOKS = """
 import runpy
 ns = runpy.run_path("perfbench/run.py")
 lau = ns["import_lau"]()
@@ -25,10 +29,45 @@ ns["gradcheck_setup"](lau)()
 print("contract ok")
 """
 
+PROBES = """
+import math, os, runpy, sys
+ns = runpy.run_path("perfbench/run.py")
+lau = ns["import_lau"]()
+work = sys.argv[1]
+tiny = {"image_size": 16, "output_stride": 4, "lau_ratio": 2, "classes": 3, "batch": 4,
+        "train_count": 8, "val_count": 4, "hidden_channels": 8}
+for name, config in (("off", {"upsampler": "lau", "loss": "off"}),
+                     ("bilinear", {"upsampler": "bilinear", "loss": "ce"})):
+    os.makedirs(os.path.join(work, name))
+    spec = {"name": name, "config": dict(tiny, **config)}
+    outcome = ns["run_train"](lau, spec, 1, 0.0, False, os.path.join(work, name))
+    assert outcome.correct and outcome.failed == 0, (name, outcome.problems)
 
-def test_benchmark_hooks_resolve():
+outcome = ns["Outcome"]()
+probe = ns["GradcheckProbe"](lau, outcome)
+probe.subject = "lau"
+probe.install()
+try:
+    report = lau.checks.lau_gradcheck(seed=1, cases=1)
+finally:
+    probe.uninstall()
+assert report.passed and outcome.failed == 0 and not outcome.problems, outcome.problems
+assert outcome.attempted > 0 and math.isfinite(probe.point_losses["lau"])
+print("contract ok")
+"""
+
+
+def run_script(script, *args):
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, "-c", script, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().endswith("contract ok")
+
+
+def test_benchmark_hooks_resolve():
+    run_script(HOOKS)
+
+
+def test_benchmark_probes_accept_real_work(tmp_path):
+    run_script(PROBES, str(tmp_path))

@@ -26,6 +26,16 @@ TINY = {
 }
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_cli(args, timeout=60, **env):
+    """`python -m lau.cli args` in a fresh interpreter; a hang fails the test."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]), **env)
+    return subprocess.run([sys.executable, "-m", "lau.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
 def write_config(tmp_path, **overrides):
     obj = dict(TINY)
     obj.update(overrides)
@@ -122,6 +132,17 @@ class TestDemo:
         assert rc == 1
         assert "truncated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, named", [
+        (["--classes", "1"], "num_classes"),  # one class never gives a two-class map
+        (["--size", "1", "--ratio", "1"], "two classes"),  # nor does a 1x1 image
+        (["--ratio", "0"], "stride"),
+        (["--size", "30", "--ratio", "4"], "height"),
+    ], ids=["classes1", "size1", "ratio0", "size30-ratio4"])
+    def test_bad_synthetic_arguments_fail_cleanly(self, tmp_path, args, named):
+        proc = run_cli(["demo", *args, "--out", str(tmp_path / "d")])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and named in proc.stderr, proc.stderr
+
     def test_corner_variant_runs(self, tmp_path):
         out = tmp_path / "c"
         assert main(["demo", "--upsampler", "corner-fc", "--ratio", "2",
@@ -161,16 +182,20 @@ class TestTrainCommand:
         # default width and 8x8 feature maps: the conv GEMMs are then above
         # the size at which OpenBLAS splits work across threads
         cfg = write_config(tmp_path, image_size=32, epochs=1, batch=8, hidden_channels=64)
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         outputs = []
         for threads in ("1", "2"):
             out = tmp_path / f"t{threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-            subprocess.run([sys.executable, "-m", "lau.cli", "train", "--config", cfg,
-                            "--out", str(out)], env=env, check=True, capture_output=True)
+            proc = run_cli(["train", "--config", cfg, "--out", str(out)], timeout=600,
+                           OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
             outputs.append([(out / name).read_bytes() for name in ("metrics.csv", "checkpoint.bin")])
         assert outputs[0] == outputs[1]
+
+    def test_single_pixel_images_fail_cleanly(self, tmp_path):
+        cfg = write_config(tmp_path, image_size=1, output_stride=1, lau_ratio=1)
+        proc = run_cli(["train", "--config", cfg, "--out", str(tmp_path / "x")])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and "two classes" in proc.stderr, proc.stderr
 
     def test_invalid_config_nonzero_exit(self, tmp_path, capsys):
         cfg = write_config(tmp_path, lau_ratio=3)

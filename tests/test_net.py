@@ -278,6 +278,21 @@ class TestGradcheckHarness:
         else:
             assert _suite("toy", draw, 0, 1, 1e-6, 1e-5).passed
 
+    def test_offset_draw_gives_up_after_100_rejections(self, monkeypatch):
+        import lau.checks as checks
+
+        calls = []
+
+        def reject(*args):
+            calls.append(None)
+            assert len(calls) <= checks.MAX_REJECTIONS, "offset draws are unbounded"
+            return False
+
+        monkeypatch.setattr(checks, "_coords_safe", reject)
+        with pytest.raises(RuntimeError):
+            checks._safe_offsets(np.random.default_rng(0), 1, 1, 2, 2, 2)
+        assert len(calls) == checks.MAX_REJECTIONS
+
     @pytest.mark.parametrize("h, tolerance", [
         (0.0, 1e-5), (float("nan"), 1e-5), (float("inf"), 1e-5),
         (1e-6, 0.0), (1e-6, float("nan")),

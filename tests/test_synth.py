@@ -43,6 +43,31 @@ class TestGenerator:
             ).any()
             assert boundary
 
+    @pytest.mark.parametrize("args, name", [
+        ((32, 32, 1, 8), "num_classes"),
+        ((32, 32, 4, 0), "stride"),
+        ((30, 32, 4, 4), "height"),
+        ((32, 4, 4, 8), "width"),
+    ])
+    def test_bad_arguments_name_the_argument(self, args, name, monkeypatch):
+        import lau.synth as synth
+
+        monkeypatch.setattr(synth, "_draw_labels", None)  # rejected before any draw
+        with pytest.raises(ValueError, match=name):
+            gen_sample(0, 0, *args, 0.25)
+
+    def test_redraws_are_bounded(self, monkeypatch):
+        # a 1x1 map holds one class whatever is drawn
+        import lau.synth as synth
+
+        draws = []
+        draw_labels = synth._draw_labels
+        monkeypatch.setattr(synth, "MAX_REDRAWS", 5)
+        monkeypatch.setattr(synth, "_draw_labels", lambda *a: draws.append(None) or draw_labels(*a))
+        with pytest.raises(ValueError, match="two classes"):
+            gen_sample(0, 0, 1, 1, 4, 1, 0.25)
+        assert len(draws) == 5
+
     def test_shapes(self):
         sample = gen_sample(0, 0, 64, 64, 5, 8, 0.25)
         assert sample.features.shape == (1, 5, 8, 8)
