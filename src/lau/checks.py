@@ -2,13 +2,18 @@
 
 Every op suite runs through one loop, `_suite`: it asks the op's `draw`
 for a random instance, deterministically from a seed, and passes each
-accepted instance to `gradcheck` at one point. A draw is rejected when its
-evaluation point sits too close to a kink: integer lattice hits of the
-sampling kernel, clamp boundaries, leaky-ReLU zeros, loss-branch switches,
-or the smooth-L1 transition. Central differences are meaningless across
-those, and the margins (1e-3 in coordinate space, 1e-4 in loss space) keep
-every probe on one smooth piece. After 100 rejections in a row, of a case
-or of its offset field, the suite raises RuntimeError instead of looping on.
+accepted instance to `gradcheck` at one point. Each instance's `fn` returns
+the value and a thunk for the analytic gradient, so the finite-difference
+probes evaluate only the forward pass; the backward pass runs once per
+checked point, as it does in `network_gradcheck`.
+
+A draw is rejected when its evaluation point sits too close to a kink:
+integer lattice hits of the sampling kernel, clamp boundaries, leaky-ReLU
+zeros, loss-branch switches, or the smooth-L1 transition. Central
+differences are meaningless across those, and the margins (1e-3 in
+coordinate space, 1e-4 in loss space) keep every probe on one smooth
+piece. After 100 rejections in a row, of a case or of its offset field,
+the suite raises RuntimeError instead of looping on.
 
 Probe scalars are reduced with exact summation (math.fsum): at step 1e-6
 ordinary float64 accumulation over a few hundred terms already costs more
@@ -150,9 +155,12 @@ def _lau_draw(rng):
     def fn(vec):
         uu, dx, dy = _split(vec, u.shape, off.dx.shape, off.dy.shape)
         o = OffsetField(dx, dy)
-        val = math.fsum((lau_forward(uu, o, k) * dv).ravel())
-        du, doff = lau_backward(uu, o, k, dv)
-        return val, _flat(du, doff.dx, doff.dy)
+
+        def grad():
+            du, doff = lau_backward(uu, o, k, dv)
+            return _flat(du, doff.dx, doff.dy)
+
+        return math.fsum((lau_forward(uu, o, k) * dv).ravel()), grad
 
     return fn, _flat(u, off.dx, off.dy)
 
@@ -180,7 +188,7 @@ def _conv_draw(rng):
         xv, wv, bv = _split(vec, x.shape, w.shape, b.shape)
         layer = ConvLayer(cin, cout, kk, wv, bv)
         val = math.fsum((conv2d_forward(layer, xv) * dy).ravel())
-        return val, _flat(*conv2d_backward(layer, xv, dy))
+        return val, lambda: _flat(*conv2d_backward(layer, xv, dy))
 
     return fn, _flat(x, w, b)
 
@@ -208,9 +216,12 @@ def _guided_draw(rng):
     def fn(vec):
         lg = vec.reshape(logits.shape)
         m = cross_entropy_map(lg, labels)
-        lam_w = guided_weight(m, ce_aux, lam)
-        grad = cross_entropy_backward(lg, labels, np.where(labels.valid, lam_w / nv, 0.0))
-        return reduce_loss(offset_guided_loss(m, ce_aux, lam)), grad.ravel()
+
+        def grad():
+            lam_w = guided_weight(m, ce_aux, lam)
+            return cross_entropy_backward(lg, labels, np.where(labels.valid, lam_w / nv, 0.0)).ravel()
+
+        return reduce_loss(offset_guided_loss(m, ce_aux, lam)), grad
 
     return fn, logits.ravel()
 
@@ -254,9 +265,13 @@ def _regression_draw(rng):
     def fn(vec):
         o = OffsetField(*_split(vec, off.dx.shape, off.dy.shape))
         out, weights, direct, _ = _regression_terms(u, o, k, 1, labels, gamma, lam)
-        dlogits = cross_entropy_backward(lau_forward(u, o, k), labels, weights)
-        _, doff = lau_backward(u, o, k, dlogits)
-        return reduce_loss(out), _flat(doff.dx + direct.dx, doff.dy + direct.dy)
+
+        def grad():
+            dlogits = cross_entropy_backward(lau_forward(u, o, k), labels, weights)
+            _, doff = lau_backward(u, o, k, dlogits)
+            return _flat(doff.dx + direct.dx, doff.dy + direct.dy)
+
+        return reduce_loss(out), grad
 
     return fn, _flat(off.dx, off.dy)
 
@@ -345,8 +360,8 @@ def network_gradcheck(seed: int = 0, loss_kind: str = "ce", h: float = 1e-5, tol
     def fn(vec):
         for arr, part in zip(params, _split(vec, *(p.shape for p in params))):
             arr[...] = part
-        scalar, grads = loss_and_grads(net, cfg, features, labels)
-        return scalar, _flat(*grads)
+        scalar, _, backward = loss_and_grads(net, cfg, features, labels)
+        return scalar, lambda: _flat(*backward())
 
     rep = gradcheck(fn, [_flat(*params)], h=h, tolerance=tolerance)
     rep.subject = f"network/{loss_kind}"

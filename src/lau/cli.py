@@ -2,8 +2,10 @@
 
 All outputs (CSV, PPM, checkpoints) are pure functions of the configuration
 and the input files, so re-running a command overwrites its artifacts with
-byte-identical content. Set LAU_THREADS to run sweep points in parallel;
-0 or unset keeps everything sequential.
+byte-identical content. The CSVs and the checkpoint are written through
+core.atomic_write, so an interrupted run never leaves one half written.
+Set LAU_THREADS to run sweep points in parallel; 0 or unset keeps
+everything sequential.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .checks import standard_suite
-from .core import ConfigError, read_tensor
+from .core import ConfigError, atomic_write, read_tensor
 from .net import TrainConfig, network_forward, save_checkpoint, train
 from .samplers import (
     CORNERS,
@@ -161,7 +163,7 @@ def cmd_gradcheck(args) -> int:
     reports = standard_suite(seed=args.seed, h=args.h, tolerance=args.tolerance)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "gradcheck.csv")
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("subject,cases,max_rel_err,failures\n")
         for r in reports:
             fh.write(f"{r.subject},{r.cases},{_fmt(r.max_rel_err)},{len(r.failures)}\n")
@@ -207,7 +209,7 @@ def cmd_train(args) -> int:
     train_set, val_set = cfg.datasets()
     result = train(cfg.to_train_config(), train_set, val_set)
     metrics_path = os.path.join(args.out, "metrics.csv")
-    with open(metrics_path, "w") as fh:
+    with atomic_write(metrics_path) as fh:
         fh.write("epoch,split,loss,pixacc,miou,speckle\n")
         for row in result.metrics:
             fh.write(
@@ -274,7 +276,7 @@ def cmd_sweep(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "sweep.csv")
     errors = []
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("param,value,seed,final_miou,final_pixacc\n")
         for param, value, seed, miou_v, pixacc_v, err in results:
             if err is None:

@@ -8,6 +8,7 @@ the finite-difference checks depend on it.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -22,6 +23,7 @@ __all__ = [
     "Rng",
     "LabelMap",
     "as_tensor4",
+    "atomic_write",
     "read_tensor",
     "write_tensor",
 ]
@@ -157,6 +159,25 @@ def mix_seed(seed: int, index: int) -> int:
 # then n*c*h*w little-endian float64 values in row-major order.
 
 _HEADER = struct.Struct("<4I")
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Open a temp file beside `path` for writing; on success rename it onto `path`.
+
+    os.replace makes the swap atomic, so a reader sees the old file or the
+    whole new one, never a partial write. If the body raises, the temp file
+    is removed and `path` is left as it was.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def write_tensor(path, u: np.ndarray) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _HEADER, ConfigError, LabelMap, Rng, ShapeError, as_tensor4
+from .core import _HEADER, ConfigError, LabelMap, Rng, ShapeError, as_tensor4, atomic_write
 from .losses import (
     LossMap,
     build_candidate_set,
@@ -464,16 +464,24 @@ def _params(net: SegNet) -> list:
 
 
 def loss_and_grads(net: SegNet, cfg: TrainConfig, features, labels: LabelMap):
-    """The configured loss at (features, labels) and its parameter gradients.
+    """The configured loss at (features, labels), the logits, and a backward thunk.
 
-    The one loss-and-gradient step behind training and the end-to-end
-    gradient check. Gradients are listed in _params order.
+    The one loss step behind training, evaluation and the end-to-end
+    gradient check. Returns (scalar, logits, backward); backward() runs the
+    backward pass and returns the parameter gradients in _params order, so a
+    caller that needs only the value never pays for it. It reads the layer
+    weights when called: call it before changing any parameter. It also
+    holds the forward cache, so callers should not keep it past its use.
     """
     logits, cache = network_forward(net, features)
     scalar, weights, doff_extra = _loss_forward(net, cfg, logits, cache, labels)
-    dlogits = cross_entropy_backward(logits, labels, weights)
-    grads = network_backward(net, cache, dlogits, doff_extra)
-    return scalar, [g for name, _ in net.named_layers() for g in grads[name]]
+
+    def backward():
+        dlogits = cross_entropy_backward(logits, labels, weights)
+        grads = network_backward(net, cache, dlogits, doff_extra)
+        return [g for name, _ in net.named_layers() for g in grads[name]]
+
+    return scalar, logits, backward
 
 
 def evaluate(net: SegNet, cfg: TrainConfig, samples) -> dict:
@@ -487,8 +495,8 @@ def evaluate(net: SegNet, cfg: TrainConfig, samples) -> dict:
         idx = range(lo, hi)
         features = _stack_features(samples, idx)
         labels = _stack_labels(samples, idx, cfg.num_classes)
-        logits, cache = network_forward(net, features)
-        scalar, _, _ = _loss_forward(net, cfg, logits, cache, labels)
+        # keep no reference to the thunk: it holds the batch's forward cache
+        scalar, logits = loss_and_grads(net, cfg, features, labels)[:2]
         nv = int(labels.valid.sum())
         loss_sum += scalar * nv
         loss_count += nv
@@ -537,7 +545,7 @@ def train(cfg: TrainConfig, train_samples, val_samples) -> TrainResult:
             idx = order[lo:hi]
             features = _stack_features(train_samples, idx)
             labels = _stack_labels(train_samples, idx, cfg.num_classes)
-            _, grads = loss_and_grads(net, cfg, features, labels)
+            grads = loss_and_grads(net, cfg, features, labels)[2]()
             lr = poly_lr(cfg.base_lr, it, total, cfg.power)
             sgd_step(params, grads, velocities, lr, cfg.momentum, decays)
             it += 1
@@ -566,7 +574,11 @@ class GradcheckReport:
 def gradcheck(fn, points, h: float = 1e-6, tolerance: float = 1e-5) -> GradcheckReport:
     """Compare fn's analytic gradient with central differences at each point.
 
-    fn maps a flat float64 vector to (scalar value, gradient vector). The
+    fn maps a flat float64 vector x to (scalar value, grad_fn), where
+    grad_fn() returns the gradient vector at x. grad_fn runs once per point,
+    right after fn(point) and before the next fn call (fn may keep state,
+    as network_gradcheck does by setting the net's parameters in place);
+    the 2 * x.size probes read only the value and never call it. The
     relative error is |a - n| / max(1e-8, |a| + |n|); entries above the
     tolerance are recorded as failures, never raised. The step h must be
     finite and > 0 and the tolerance > 0, else ValueError.
@@ -577,8 +589,7 @@ def gradcheck(fn, points, h: float = 1e-6, tolerance: float = 1e-5) -> Gradcheck
     failures = []
     for pi, x in enumerate(points):
         x = np.asarray(x, dtype=np.float64)
-        _, grad = fn(x)
-        grad = np.asarray(grad, dtype=np.float64)
+        grad = np.asarray(fn(x)[1](), dtype=np.float64)
         if grad.shape != x.shape:
             raise ShapeError(f"gradient shape {grad.shape} != point shape {x.shape}")
         for j in range(x.size):
@@ -611,7 +622,7 @@ def _checkpoint_entries(net: SegNet):
 
 
 def save_checkpoint(path, net: SegNet) -> None:
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write((_manifest(net) + "\n").encode("ascii"))
         for arr, dims in _checkpoint_entries(net):
             fh.write(_HEADER.pack(*dims))

@@ -5,9 +5,10 @@ perfbench/run.py wraps functions of lau.net and lau.checks and builds its
 set-ups from lau.cli and lau.core; a rename there would otherwise surface
 only when the benchmark runs. Its probes also rely on invariants of the
 training loop and the FD checks (one `reduce_loss` per training step, the
-loss as `fn(x)[0]`), so a little real work goes through them too. The checks
-run in a fresh interpreter because run.py pins the BLAS thread count before
-numpy is first imported.
+loss as `fn(x)[0]`, one timed `fn` call per point and per probe), so a
+little real work goes through them too. The checks run in a fresh
+interpreter because run.py pins the BLAS thread count before numpy is
+first imported.
 """
 
 import os
@@ -43,16 +44,24 @@ for name, config in (("off", {"upsampler": "lau", "loss": "off"}),
     outcome = ns["run_train"](lau, spec, 1, 0.0, False, os.path.join(work, name))
     assert outcome.correct and outcome.failed == 0, (name, outcome.problems)
 
-outcome = ns["Outcome"]()
-probe = ns["GradcheckProbe"](lau, outcome)
-probe.subject = "lau"
-probe.install()
-try:
-    report = lau.checks.lau_gradcheck(seed=1, cases=1)
-finally:
-    probe.uninstall()
-assert report.passed and outcome.failed == 0 and not outcome.problems, outcome.problems
-assert outcome.attempted > 0 and math.isfinite(probe.point_losses["lau"])
+def probed(subject, check):
+    outcome = ns["Outcome"]()
+    probe = ns["GradcheckProbe"](lau, outcome)
+    probe.subject = subject
+    probe.install()
+    try:
+        report = check()
+    finally:
+        probe.uninstall()
+    assert report.passed and outcome.failed == 0 and not outcome.problems, outcome.problems
+    assert outcome.attempted > 0 and math.isfinite(probe.point_losses[subject])
+    return probe
+
+probed("lau", lambda: lau.checks.lau_gradcheck(seed=1, cases=1))
+# criterion 6's ce check: the point plus two probes per parameter of the
+# 922-parameter toy net, each one FD evaluation that fd_evals_per_s counts
+probe = probed("ce", lambda: lau.checks.network_gradcheck(seed=0, loss_kind="ce"))
+assert len(probe.evals["ce"]) == 1845, len(probe.evals["ce"])
 print("contract ok")
 """
 

@@ -8,6 +8,7 @@ from lau.core import (
     Rng,
     ShapeError,
     as_tensor4,
+    atomic_write,
     mix_seed,
     read_tensor,
     write_tensor,
@@ -133,3 +134,24 @@ class TestLabelMap:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             LabelMap(np.array([[[5]]]), 3)
+
+
+class TestAtomicWrite:
+    def test_replaces_whole_file(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        path.write_text("old\n")
+        with atomic_write(path) as fh:
+            fh.write("new\n")
+        assert path.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        path.write_bytes(b"epoch,split\n0,train\n")
+        with pytest.raises(RuntimeError, match="midway"):
+            with atomic_write(path) as fh:
+                fh.write("epoch,split\n")
+                fh.flush()
+                raise RuntimeError("midway")
+        assert path.read_bytes() == b"epoch,split\n0,train\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]

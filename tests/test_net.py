@@ -127,7 +127,7 @@ class TestLeakyRelu:
         x = np.where(np.abs(x) < 0.1, x + 0.5, x)
 
         def fn(v):
-            return float(leaky_relu(v, 0.01).sum()), leaky_relu_backward(v, np.ones_like(v), 0.01)
+            return float(leaky_relu(v, 0.01).sum()), lambda: leaky_relu_backward(v, np.ones_like(v), 0.01)
 
         rep = gradcheck(fn, [x], h=1e-6, tolerance=1e-6)
         assert not rep.failures
@@ -245,12 +245,47 @@ class TestGradcheckHarness:
         a = rng.integers(-8, 9, size=12) / 16.0
 
         def fn(x):
-            return float(a @ x), a
+            return float(a @ x), lambda: a
 
         points = [rng.integers(-32, 33, size=12) / 16.0 for _ in range(3)]
         rep = gradcheck(fn, points, h=2.0**-20, tolerance=1e-10)
         assert rep.max_rel_err <= 1e-10
         assert not rep.failures
+
+    def test_gradient_runs_once_per_point_before_its_probes(self):
+        calls = []
+
+        def fn(x):
+            calls.append(("value", x.copy()))
+
+            def grad_fn():
+                calls.append(("grad", x.copy()))
+                return 2.0 * x
+
+            return float(x @ x), grad_fn
+
+        points = [np.array([1.0, -2.0]), np.array([0.5, 3.0, 4.0])]
+        assert gradcheck(fn, points, h=1e-6, tolerance=1e-5).passed
+        # per point: its value, its gradient, then 2 * size value-only probes
+        want = [kind for p in points for kind in ["value", "grad"] + ["value"] * (2 * p.size)]
+        assert [kind for kind, _ in calls] == want
+        at = [x for kind, x in calls if kind == "grad"]
+        assert all(np.array_equal(x, p) for x, p in zip(at, points))
+
+    def test_network_check_runs_one_backward_pass(self, monkeypatch):
+        import lau.net
+        from lau.checks import network_gradcheck
+
+        calls = []
+        backward = lau.net.network_backward
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return backward(*args, **kwargs)
+
+        monkeypatch.setattr(lau.net, "network_backward", counted)
+        assert network_gradcheck(seed=0, loss_kind="ce").passed
+        assert len(calls) == 1
 
     def test_report_deterministic_given_seed(self):
         from lau.checks import lau_gradcheck
@@ -270,7 +305,7 @@ class TestGradcheckHarness:
             calls.append(None)
             if len(calls) <= streak:
                 return None
-            return (lambda x: (float(x @ x), 2.0 * x)), np.ones(2)
+            return (lambda x: (float(x @ x), lambda: 2.0 * x)), np.ones(2)
 
         if raises:
             with pytest.raises(RuntimeError):
@@ -301,7 +336,7 @@ class TestGradcheckHarness:
         # a gradient 1.5x too large must never pass: nan comparisons are
         # all False, so a nan step or tolerance would record no failure
         def fn(x):
-            return float(x @ x), 3.0 * x
+            return float(x @ x), lambda: 3.0 * x
 
         with pytest.raises(ValueError):
             gradcheck(fn, [np.ones(3)], h=h, tolerance=tolerance)
@@ -479,6 +514,28 @@ class TestCheckpoint:
             path.write_bytes(raw[:cut])
             with pytest.raises(IOError):
                 load_checkpoint(path, net)
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        import lau.net
+
+        net = build_net(3, 4, 6, 4, 2, 4, 1, 0.01, Rng(17), 1e-4)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, net)
+        before = path.read_bytes()
+
+        class Unwritable:
+            def astype(self, dtype):
+                raise OSError("disk full")
+
+        entries = lau.net._checkpoint_entries(net)
+        # the manifest, one whole tensor and the next header reach the file first
+        monkeypatch.setattr(lau.net, "_checkpoint_entries",
+                            lambda _: entries[:1] + [(Unwritable(), (1, 1, 1, 1))])
+        net.conv1.weights[...] += 1.0
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, net)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
 
     def test_starts_with_text_manifest(self, tmp_path):
         net = build_net(2, 3, 4, 4, 2, 2, 1, 0.01, Rng(14), 0.0)
