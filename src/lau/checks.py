@@ -42,6 +42,7 @@ from .net import (
     TrainConfig,
     _guided_terms,
     _params,
+    _regression_grads,
     _regression_terms,
     build_net,
     conv2d_backward,
@@ -264,9 +265,10 @@ def _regression_draw(rng):
 
     def fn(vec):
         o = OffsetField(*_split(vec, off.dx.shape, off.dy.shape))
-        out, weights, direct, _ = _regression_terms(u, o, k, 1, labels, gamma, lam)
+        out, cs = _regression_terms(u, o, k, 1, labels, gamma, lam)
 
         def grad():
+            weights, direct = _regression_grads(cs, out, 1, labels, gamma, lam)
             dlogits = cross_entropy_backward(lau_forward(u, o, k), labels, weights)
             _, doff = lau_backward(u, o, k, dlogits)
             return _flat(doff.dx + direct.dx, doff.dy + direct.dy)
@@ -340,12 +342,12 @@ def _network_instance(seed: int, loss_kind: str):
             continue
         if loss_kind == "off":
             ce = cross_entropy_map(logits, labels)
-            _, _, ce_aux = _guided_terms(cache["u"], cfg.lau_ratio, cache["rest"], ce, labels, cfg.lam)
+            _, ce_aux = _guided_terms(cache["u"], cfg.lau_ratio, cache["rest"], ce, labels, cfg.lam)
             if (np.abs(ce.values - ce_aux.values)[labels.valid] <= BRANCH_MARGIN).any():
                 continue
         if loss_kind == "reg":
-            *_, cs = _regression_terms(cache["u"], cache["off"], cfg.lau_ratio, cache["rest"],
-                                       labels, cfg.gamma, cfg.lam)
+            _, cs = _regression_terms(cache["u"], cache["off"], cfg.lau_ratio, cache["rest"],
+                                      labels, cfg.gamma, cfg.lam)
             if not _candidate_margins_ok(cs):
                 continue
         return net, cfg, features, labels

@@ -103,49 +103,69 @@ class ConvLayer:
         return cls(in_ch, out_ch, kernel, w, b, weight_decay)
 
 
+# The convs run one np.matmul per kernel tap, each operand in the layout
+# np.einsum(optimize=True) gives matmul for the same per-tap contraction:
+# input patches as NHWC rows (n*h*w, cin) or CNHW columns (cin, n*h*w), dY as
+# NHWO rows (n*h*w, out), and the weight tap as the strided (out, cin) view
+# or its transpose. BLAS results depend on operand layout and order, so this
+# keeps every output byte equal to the per-tap einsum reference kept in
+# tests/_oracles.py, without einsum's per-call path planning. That holds for
+# layers with two or more input and output channels; with one channel,
+# einsum drops the size-1 axis and takes a product that can differ in the
+# last bit.
+
+
+def _taps(kernel: int):
+    return [(dy, dx) for dy in range(kernel) for dx in range(kernel)]
+
+
+def _padded(x: np.ndarray, kernel: int) -> np.ndarray:
+    pad = (kernel - 1) // 2
+    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+
+
 def conv2d_forward(layer: ConvLayer, x: np.ndarray) -> np.ndarray:
     x = as_tensor4(x)
     n, cin, h, w = x.shape
     if cin != layer.in_ch:
         raise ShapeError(f"input channels {cin} != layer in_ch {layer.in_ch}")
-    kk = layer.kernel
-    pad = (kk - 1) // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    out = np.zeros((n, layer.out_ch, h, w))
-    for dy in range(kk):
-        for dx in range(kk):
-            out += np.einsum(
-                "oc,nchw->nohw",
-                layer.weights[:, :, dy, dx],
-                xp[:, :, dy : dy + h, dx : dx + w],
-                optimize=True,
-            )
-    out += layer.bias[None, :, None, None]
-    return out
+    xp = _padded(x, layer.kernel).transpose(0, 2, 3, 1)  # NHWC view
+    out = np.zeros((n * h * w, layer.out_ch))
+    for dy, dx in _taps(layer.kernel):
+        out += xp[:, dy : dy + h, dx : dx + w].reshape(-1, cin) @ layer.weights[:, :, dy, dx].T
+    out += layer.bias
+    return np.ascontiguousarray(out.reshape(n, h, w, layer.out_ch).transpose(0, 3, 1, 2))
 
 
-def conv2d_backward(layer: ConvLayer, x: np.ndarray, dy_out: np.ndarray):
-    """Exact adjoints of conv2d_forward: returns (dX, dW, db)."""
+def _weight_grads(layer: ConvLayer, x: np.ndarray, dy_out: np.ndarray):
+    """dW and db of conv2d_forward, plus dY as (n*h*w, out) rows for dX.
+
+    conv2d_backward builds on it; the network's input layer calls it alone,
+    since nothing reads the gradient of the network input.
+    """
     x = as_tensor4(x)
     dy_out = as_tensor4(dy_out)
     n, cin, h, w = x.shape
     if dy_out.shape != (n, layer.out_ch, h, w):
         raise ShapeError(f"dY shape {dy_out.shape} != ({n},{layer.out_ch},{h},{w})")
-    kk = layer.kernel
-    pad = (kk - 1) // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    db = dy_out.sum(axis=(0, 2, 3))
-    dw = np.zeros_like(layer.weights)
-    dxp = np.zeros_like(xp)
-    for dy in range(kk):
-        for dx in range(kk):
-            patch = xp[:, :, dy : dy + h, dx : dx + w]
-            dw[:, :, dy, dx] = np.einsum("nohw,nchw->oc", dy_out, patch, optimize=True)
-            dxp[:, :, dy : dy + h, dx : dx + w] += np.einsum(
-                "oc,nohw->nchw", layer.weights[:, :, dy, dx], dy_out, optimize=True
-            )
-    dxin = dxp[:, :, pad : pad + h, pad : pad + w] if pad else dxp
-    return dxin, dw, db
+    xp = _padded(x, layer.kernel).transpose(1, 0, 2, 3)  # CNHW view
+    g = dy_out.transpose(0, 2, 3, 1).reshape(-1, layer.out_ch)
+    dw = np.empty_like(layer.weights)
+    for dy, dx in _taps(layer.kernel):
+        dw[:, :, dy, dx] = (xp[:, :, dy : dy + h, dx : dx + w].reshape(cin, -1) @ g).T
+    return dw, dy_out.sum(axis=(0, 2, 3)), g
+
+
+def conv2d_backward(layer: ConvLayer, x: np.ndarray, dy_out: np.ndarray):
+    """Exact adjoints of conv2d_forward: returns (dX, dW, db)."""
+    dw, db, g = _weight_grads(layer, x, dy_out)
+    n, cin, h, w = np.shape(x)
+    pad = (layer.kernel - 1) // 2
+    dxp = np.zeros((n, h + 2 * pad, w + 2 * pad, cin))  # NHWC
+    for dy, dx in _taps(layer.kernel):
+        dxp[:, dy : dy + h, dx : dx + w] += (g @ layer.weights[:, :, dy, dx]).reshape(n, h, w, cin)
+    dxin = dxp[:, pad : pad + h, pad : pad + w].transpose(0, 3, 1, 2)
+    return np.ascontiguousarray(dxin), dw, db
 
 
 def leaky_relu(x: np.ndarray, alpha: float) -> np.ndarray:
@@ -305,8 +325,7 @@ def network_backward(net: SegNet, cache, dlogits: np.ndarray, doff_extra: Offset
     dh1, dw2, db2 = conv2d_backward(net.conv2, cache["h1"], da2)
     grads["conv2"] = (dw2, db2)
     da1 = leaky_relu_backward(cache["a1"], dh1, net.slope)
-    _, dw1, db1 = conv2d_backward(net.conv1, cache["x"], da1)
-    grads["conv1"] = (dw1, db1)
+    grads["conv1"] = _weight_grads(net.conv1, cache["x"], da1)[:2]
     return grads
 
 
@@ -402,28 +421,32 @@ def _stack_labels(samples, idx, num_classes):
 
 
 def _guided_terms(u, k: int, rest: int, ce: LossMap, labels: LabelMap, lam: float):
-    """The offset-guided loss, its CE weights, and the plain-bilinear CE.
+    """The offset-guided loss and the plain-bilinear CE it compares against.
 
     The auxiliary prediction upsamples the same low-resolution logits with
     plain bilinear over the whole factor; wherever the refined CE does not
     beat its CE, offset_guided_loss weights the pixel by 1 + lambda.
-    Returns (guided loss map, per-pixel CE weights, auxiliary CE map).
+    Returns (guided loss map, auxiliary CE map).
     """
     aux = bilinear_upsample(u, k)
     ce_aux = cross_entropy_map(bilinear_upsample(aux, rest), labels)
-    weights = np.where(ce.valid, guided_weight(ce, ce_aux, lam) / int(ce.valid.sum()), 0.0)
-    return offset_guided_loss(ce, ce_aux, lam), weights, ce_aux
+    return offset_guided_loss(ce, ce_aux, lam), ce_aux
 
 
 def _regression_terms(u, off: OffsetField, k: int, rest: int, labels: LabelMap,
                       gamma: float, lam: float):
-    """The coordinate-regression loss, its CE weights and direct offset gradient.
-
-    Returns (loss map at the sampler's output grid, per-pixel CE weights at
-    label resolution, smooth-L1 gradient on the offsets, candidate set).
-    """
+    """The coordinate-regression loss at the sampler's output grid and its
+    candidate set: (loss map, candidate set)."""
     cs = build_candidate_set(u, off, k, rest, labels)
-    out = regression_loss(cs, gamma, lam)
+    return regression_loss(cs, gamma, lam), cs
+
+
+def _regression_grads(cs, out: LossMap, rest: int, labels: LabelMap, gamma: float, lam: float):
+    """What the regression loss's gradient reads besides the logits.
+
+    Returns (per-pixel CE weights at label resolution, smooth-L1 gradient on
+    the offsets) for the loss map `out` of candidate set `cs`.
+    """
     ns = int(out.valid.sum())
     lam_w = regression_weight(cs, lam)
     # CE gradient: each full-res pixel inherits its stage block's weight
@@ -436,25 +459,31 @@ def _regression_terms(u, off: OffsetField, k: int, rest: int, labels: LabelMap,
     # direct offset gradient from the smooth-L1 pull toward theta_opt
     gx, gy = smooth_l1_grad(cs.coords[0], select_theta_opt(cs))
     scale = np.where(out.valid, gamma / ns, 0.0)
-    return out, weights, OffsetField((gx * scale)[:, None], (gy * scale)[:, None]), cs
+    return weights, OffsetField((gx * scale)[:, None], (gy * scale)[:, None])
 
 
 def _loss_forward(net: SegNet, cfg: TrainConfig, logits, cache, labels: LabelMap):
-    """Scalar loss plus what the backward pass needs (per-pixel CE weights
-    at label resolution, and any direct offset gradient)."""
+    """Scalar loss plus a thunk for what only the backward pass reads.
+
+    The thunk returns (per-pixel CE weights at label resolution, direct
+    offset gradient or None), so a caller that wants only the value never
+    builds them.
+    """
     ce = cross_entropy_map(logits, labels)
     nv = int(ce.valid.sum())
     if nv == 0:
         raise ValueError("batch contains no valid pixels")
     if cfg.loss_kind == "ce" or net.predictor is None:
-        return reduce_loss(ce), np.where(ce.valid, 1.0 / nv, 0.0), None
+        return reduce_loss(ce), lambda: (np.where(ce.valid, 1.0 / nv, 0.0), None)
     if cfg.loss_kind == "off":
-        loss, weights, _ = _guided_terms(cache["u"], net.lau_ratio, cache["rest"], ce, labels, cfg.lam)
-        return reduce_loss(loss), weights, None
+        loss, ce_aux = _guided_terms(cache["u"], net.lau_ratio, cache["rest"], ce, labels, cfg.lam)
+        return reduce_loss(loss), lambda: (
+            np.where(ce.valid, guided_weight(ce, ce_aux, cfg.lam) / nv, 0.0), None)
     if cfg.loss_kind == "reg":
-        loss, weights, doff, _ = _regression_terms(
+        loss, cs = _regression_terms(
             cache["u"], cache["off"], net.lau_ratio, cache["rest"], labels, cfg.gamma, cfg.lam)
-        return reduce_loss(loss), weights, doff
+        return reduce_loss(loss), lambda: _regression_grads(
+            cs, loss, cache["rest"], labels, cfg.gamma, cfg.lam)
     raise ConfigError("loss", f"unknown loss kind {cfg.loss_kind!r}")
 
 
@@ -474,9 +503,10 @@ def loss_and_grads(net: SegNet, cfg: TrainConfig, features, labels: LabelMap):
     holds the forward cache, so callers should not keep it past its use.
     """
     logits, cache = network_forward(net, features)
-    scalar, weights, doff_extra = _loss_forward(net, cfg, logits, cache, labels)
+    scalar, grad_terms = _loss_forward(net, cfg, logits, cache, labels)
 
     def backward():
+        weights, doff_extra = grad_terms()
         dlogits = cross_entropy_backward(logits, labels, weights)
         grads = network_backward(net, cache, dlogits, doff_extra)
         return [g for name, _ in net.named_layers() for g in grads[name]]

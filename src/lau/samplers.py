@@ -17,6 +17,16 @@ source lattice around that point:
 All operations are pure; the backward passes accumulate in a fixed order so
 results are deterministic. A lau call reads each of its four taps once, and
 its dU adds the taps' contributions in tap order in a single scatter.
+
+Plain bilinear upsampling needs no gather. On the unshifted grid, output
+column k*j + p (phase p, 0 <= p < k) always reads input columns j and j + 1
+(clamped at the border), so the output splits into k phase slices
+[..., p::k], each a weighted sum of the input and its one-column shift, the
+periodic-shuffling view of sub-pixel convolution (Shi et al. 2016, arXiv
+1609.05158). Rows work the same way. The phase weights are the fractions
+_cells gives for those columns, so zero-offset lau still equals bilinear bit
+for bit, and the adjoint adds each input entry's terms in the order a
+scatter over the output would.
 """
 
 from __future__ import annotations
@@ -127,7 +137,7 @@ def _cells(px, py, h: int, w: int):
     each clamped point and its fractional position from x0 (y0). On the
     last column (row) x1 == x0 (y1 == y0), which replicates the border.
     The bilinear and lau samplers and both adjoints share this geometry, so
-    zero-offset lau reads exactly the taps and weights bilinear reads.
+    zero-offset lau uses exactly the weights bilinear uses.
     """
     px = np.clip(px, 0.0, w - 1.0)
     py = np.clip(py, 0.0, h - 1.0)
@@ -136,11 +146,55 @@ def _cells(px, py, h: int, w: int):
     return x0, np.minimum(x0 + 1, w - 1), px - x0, y0, np.minimum(y0 + 1, h - 1), py - y0
 
 
-def _upsample_cells(h: int, w: int, k: int):
-    """_cells of the unshifted k-fold output grid, as one 1-D array per axis."""
+def _upsample_fractions(h: int, w: int, k: int):
+    """_cells' (fx, fy) on the unshifted k-fold output grid, one 1-D array per axis."""
     gx = np.arange(k * w, dtype=np.float64) / k
     gy = np.arange(k * h, dtype=np.float64) / k
-    return _cells(gx, gy, h, w)
+    _, _, fx, _, _, fy = _cells(gx, gy, h, w)
+    return fx, fy
+
+
+def _along(axis: int, index):
+    """An index expression applying `index` to one axis of a rank-4 array."""
+    return (slice(None),) * axis + (index,)
+
+
+def _phase_stage(a: np.ndarray, f: np.ndarray, k: int, axis: int) -> np.ndarray:
+    """One separable bilinear stage, k-fold along axis 2 (rows) or 3 (columns).
+
+    Output phase p, the slice [p::k] of the upsampled axis, blends each input
+    line j with line j + 1 (the last line replicated) by the fraction
+    f[k*j + p] from _upsample_fractions: the products a gather of _cells' taps
+    would give, without the gather.
+    """
+    m = a.shape[axis]
+    out = np.empty(a.shape[:axis] + (k * m,) + a.shape[axis + 1 :])
+    nxt = np.concatenate([a[_along(axis, slice(1, None))], a[_along(axis, slice(-1, None))]], axis=axis)
+    for p in range(k):
+        fp = f[p::k].reshape((-1,) + (1,) * (3 - axis))
+        out[_along(axis, slice(p, None, k))] = a * (1.0 - fp) + nxt * fp
+    return out
+
+
+def _phase_adjoint(first: np.ndarray, second: np.ndarray, k: int, axis: int) -> np.ndarray:
+    """Adjoint of _phase_stage, given each output's weighted gradient for its
+    first tap (line j) and its second tap (line j + 1, clamped).
+
+    Input line j adds, in this order: its own k first-tap terms, the k
+    second-tap terms of line j - 1, and on the last line its own k second-tap
+    terms (the replicated border). That is the order of a scatter of every
+    first-tap term in output order followed by every second-tap term, so
+    each entry's sum rounds the same way.
+    """
+    m = first.shape[axis] // k
+    out = np.zeros(first.shape[:axis] + (m,) + first.shape[axis + 1 :])
+    for p in range(k):
+        out += first[_along(axis, slice(p, None, k))]
+    for p in range(k):
+        out[_along(axis, slice(1, None))] += second[_along(axis, slice(p, (m - 1) * k, k))]
+    for p in range(k):
+        out[_along(axis, -1)] += second[_along(axis, (m - 1) * k + p)]
+    return out
 
 
 def bilinear_upsample(u: np.ndarray, k: int) -> np.ndarray:
@@ -154,12 +208,9 @@ def bilinear_upsample(u: np.ndarray, k: int) -> np.ndarray:
     k = _check_ratio(k)
     if k == 1:
         return u
-    n, c, h, w = u.shape
-    x0, x1, fx, y0, y1, fy = _upsample_cells(h, w, k)
+    fx, fy = _upsample_fractions(u.shape[2], u.shape[3], k)
     # Separable: columns first, then rows.
-    t = u[:, :, :, x0] * (1.0 - fx) + u[:, :, :, x1] * fx
-    v = t[:, :, y0, :] * (1.0 - fy)[:, None] + t[:, :, y1, :] * fy[:, None]
-    return np.ascontiguousarray(v)
+    return _phase_stage(_phase_stage(u, fx, k, 3), fy, k, 2)
 
 
 def bilinear_upsample_backward(in_shape, k: int, dv: np.ndarray) -> np.ndarray:
@@ -171,14 +222,9 @@ def bilinear_upsample_backward(in_shape, k: int, dv: np.ndarray) -> np.ndarray:
         raise ShapeError(f"dv shape {dv.shape} does not match output ({n},{c},{k*h},{k*w})")
     if k == 1:
         return dv
-    x0, x1, fx, y0, y1, fy = _upsample_cells(h, w, k)
-    dt = np.zeros((n, c, h, k * w))
-    np.add.at(dt, (slice(None), slice(None), y0), dv * (1.0 - fy)[:, None])
-    np.add.at(dt, (slice(None), slice(None), y1), dv * fy[:, None])
-    du = np.zeros(tuple(in_shape))
-    np.add.at(du.transpose(3, 0, 1, 2), x0, (dt * (1.0 - fx)).transpose(3, 0, 1, 2))
-    np.add.at(du.transpose(3, 0, 1, 2), x1, (dt * fx).transpose(3, 0, 1, 2))
-    return du
+    fx, fy = _upsample_fractions(h, w, k)
+    dt = _phase_adjoint(dv * (1.0 - fy)[:, None], dv * fy[:, None], k, 2)
+    return _phase_adjoint(dt * (1.0 - fx), dt * fx, k, 3)
 
 
 def lau_source_coords(off: OffsetField, k: int):

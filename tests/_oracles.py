@@ -2,7 +2,9 @@
 
 Everything here is written directly from the mathematical definitions, with
 none of the gather/scatter shortcuts the library uses, so agreement is
-meaningful.
+meaningful. The exception is the reference kernels at the end: per-tap
+einsum convs and a gather/np.add.at bilinear stage, the byte baseline that
+the library's matmul and phase-sliced kernels must reproduce exactly.
 """
 
 import math
@@ -156,3 +158,73 @@ def assert_adjoint(x, ax, y, aty):
     lhs = float((ax * y).sum())
     rhs = float((x * aty).sum())
     assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(ax) * np.linalg.norm(y)
+
+
+# ---------------------------------------------------------------------------
+# reference kernels: the byte baseline of the library's conv and bilinear paths
+
+def einsum_conv2d_forward(layer, x):
+    """Per-tap einsum cross-correlation (zero padding (kernel - 1) // 2)."""
+    n, cin, h, w = x.shape
+    kk = layer.kernel
+    pad = (kk - 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    out = np.zeros((n, layer.out_ch, h, w))
+    for dy in range(kk):
+        for dx in range(kk):
+            out += np.einsum("oc,nchw->nohw", layer.weights[:, :, dy, dx],
+                             xp[:, :, dy : dy + h, dx : dx + w], optimize=True)
+    out += layer.bias[None, :, None, None]
+    return out
+
+
+def einsum_conv2d_backward(layer, x, dy_out):
+    """Per-tap einsum adjoints of einsum_conv2d_forward: (dX, dW, db)."""
+    n, cin, h, w = x.shape
+    kk = layer.kernel
+    pad = (kk - 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    db = dy_out.sum(axis=(0, 2, 3))
+    dw = np.zeros_like(layer.weights)
+    dxp = np.zeros_like(xp)
+    for dy in range(kk):
+        for dx in range(kk):
+            patch = xp[:, :, dy : dy + h, dx : dx + w]
+            dw[:, :, dy, dx] = np.einsum("nohw,nchw->oc", dy_out, patch, optimize=True)
+            dxp[:, :, dy : dy + h, dx : dx + w] += np.einsum(
+                "oc,nohw->nchw", layer.weights[:, :, dy, dx], dy_out, optimize=True)
+    return dxp[:, :, pad : pad + h, pad : pad + w], dw, db
+
+
+def _reference_cells(size, k):
+    """Clamped source points of the k-fold grid on one axis: (i0, i1, frac)."""
+    p = np.clip(np.arange(k * size, dtype=np.float64) / k, 0.0, size - 1.0)
+    i0 = np.floor(p).astype(np.intp)
+    return i0, np.minimum(i0 + 1, size - 1), p - i0
+
+
+def gather_bilinear_upsample(u, k):
+    """Separable bilinear upsampling by fancy-index gathers, columns first."""
+    if k == 1:
+        return u
+    n, c, h, w = u.shape
+    x0, x1, fx = _reference_cells(w, k)
+    y0, y1, fy = _reference_cells(h, k)
+    t = u[:, :, :, x0] * (1.0 - fx) + u[:, :, :, x1] * fx
+    return t[:, :, y0, :] * (1.0 - fy)[:, None] + t[:, :, y1, :] * fy[:, None]
+
+
+def add_at_bilinear_upsample_backward(in_shape, k, dv):
+    """Adjoint of gather_bilinear_upsample by np.add.at scatters, rows first."""
+    if k == 1:
+        return dv
+    n, c, h, w = in_shape
+    x0, x1, fx = _reference_cells(w, k)
+    y0, y1, fy = _reference_cells(h, k)
+    dt = np.zeros((n, c, h, k * w))
+    np.add.at(dt, (slice(None), slice(None), y0), dv * (1.0 - fy)[:, None])
+    np.add.at(dt, (slice(None), slice(None), y1), dv * fy[:, None])
+    du = np.zeros(tuple(in_shape))
+    np.add.at(du.transpose(3, 0, 1, 2), x0, (dt * (1.0 - fx)).transpose(3, 0, 1, 2))
+    np.add.at(du.transpose(3, 0, 1, 2), x1, (dt * fx).transpose(3, 0, 1, 2))
+    return du

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lau.checks import conv_gradcheck
+from lau.checks import _toy_config, conv_gradcheck
+from lau.cli import ExperimentConfig
 from lau.core import ConfigError, LabelMap, Rng, ShapeError
 from lau.net import (
     ConvLayer,
@@ -20,6 +21,7 @@ from lau.net import (
     leaky_relu,
     leaky_relu_backward,
     load_checkpoint,
+    loss_and_grads,
     network_forward,
     offset_predictor_forward,
     poly_lr,
@@ -30,7 +32,7 @@ from lau.net import (
 from lau.samplers import pixel_shuffle
 from lau.synth import gen_sample
 
-from _oracles import assert_adjoint
+from _oracles import assert_adjoint, einsum_conv2d_backward, einsum_conv2d_forward
 
 
 def toy_config(**overrides):
@@ -43,6 +45,25 @@ def toy_config(**overrides):
     )
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def net_for(cfg):
+    return build_net(cfg.in_channels, cfg.num_classes, cfg.decoder_channels,
+                     cfg.reduced_channels, cfg.lau_ratio, cfg.total_upsample,
+                     cfg.offset_groups, cfg.slope, Rng(cfg.seed), cfg.weight_decay,
+                     with_predictor=cfg.upsampler == "lau")
+
+
+# (train config, side of the conv input) for every configuration the
+# acceptance suite trains or checks; bilinear/ce uses a subset of the
+# default layers.
+CONV_CONFIGS = {
+    "default": (ExperimentConfig().to_train_config(), 8),
+    "m_classes": (ExperimentConfig(m_channels=4).to_train_config(), 8),
+    "criterion_6": (_toy_config("ce", 0), 4),
+    "criterion_8": (ExperimentConfig(image_size=16, output_stride=4, lau_ratio=2, classes=3,
+                                     hidden_channels=8).to_train_config(), 4),
+}
 
 
 class TestConv:
@@ -69,14 +90,33 @@ class TestConv:
                 assert y[0, 0, i, j] == pytest.approx(ref)
 
     @pytest.mark.parametrize("kernel", [1, 3])
-    def test_dx_adjoint_identity(self, kernel):
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 2), st.integers(1, 5), st.integers(1, 5), st.integers(1, 6),
+           st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_dx_adjoint_identity(self, kernel, n, cin, cout, h, w, seed):
         # zero bias makes the forward linear in x
-        rng = np.random.default_rng(3)
-        layer = ConvLayer(3, 4, kernel, rng.normal(size=(4, 3, kernel, kernel)), np.zeros(4))
-        x = rng.normal(size=(2, 3, 5, 4))
-        dy = rng.normal(size=(2, 4, 5, 4))
+        rng = np.random.default_rng(seed)
+        layer = ConvLayer(cin, cout, kernel, rng.normal(size=(cout, cin, kernel, kernel)), np.zeros(cout))
+        x = rng.normal(size=(n, cin, h, w))
+        dy = rng.normal(size=(n, cout, h, w))
         dx, _, _ = conv2d_backward(layer, x, dy)
         assert_adjoint(x, conv2d_forward(layer, x), dy, dx)
+
+    @pytest.mark.parametrize("batch", [1, 8, 64])
+    @pytest.mark.parametrize("config", sorted(CONV_CONFIGS))
+    def test_bytes_match_einsum_reference(self, config, batch):
+        # every layer shape the configurations run gives the same bytes as
+        # the per-tap einsum reference
+        cfg, side = CONV_CONFIGS[config]
+        rng = np.random.default_rng(batch)
+        for _, layer in net_for(cfg).named_layers():
+            layer.weights[...] = rng.normal(size=layer.weights.shape)
+            layer.bias[...] = rng.normal(size=layer.bias.shape)
+            x = rng.normal(size=(batch, layer.in_ch, side, side))
+            dy = rng.normal(size=(batch, layer.out_ch, side, side))
+            assert np.array_equal(conv2d_forward(layer, x), einsum_conv2d_forward(layer, x))
+            for got, want in zip(conv2d_backward(layer, x, dy), einsum_conv2d_backward(layer, x, dy)):
+                assert np.array_equal(got, want)
 
     def test_gradcheck(self):
         rep = conv_gradcheck(seed=0, cases=10)
@@ -204,7 +244,7 @@ class TestToyDecoder:
         x = rng.normal(size=(1, 3, 4, 4))
         labels = LabelMap(rng.integers(0, 3, (1, 16, 16)), 3)
         logits, cache = network_forward(net, x)
-        scalar, weights, doff_extra = _loss_forward(net, cfg, logits, cache, labels)
+        weights, doff_extra = _loss_forward(net, cfg, logits, cache, labels)[1]()
         grads = network_backward(net, cache, cross_entropy_backward(logits, labels, weights),
                                  doff_extra)
         assert np.abs(grads["expand"][0]).max() > 0
@@ -235,6 +275,44 @@ class TestToyDecoder:
         expected = net.head.weights[:, 0, 0, 0] * f + net.head.bias
         logits, _ = network_forward(net, x)
         assert np.allclose(logits[0, :, 0, 0], expected)
+
+
+class TestHotPath:
+    STEPS = {"lau/off": ("lau", "off"), "lau/reg": ("lau", "reg"), "bilinear/ce": ("bilinear", "ce")}
+
+    def step(self, name):
+        upsampler, loss = self.STEPS[name]
+        cfg = toy_config(upsampler=upsampler, loss_kind=loss)
+        rng = np.random.default_rng(41)
+        x = rng.normal(size=(2, 3, 4, 4))
+        labels = LabelMap(rng.integers(0, 3, (2, 16, 16)), 3)
+        return loss_and_grads(net_for(cfg), cfg, x, labels)
+
+    @pytest.mark.parametrize("name", sorted(STEPS))
+    def test_step_runs_without_einsum(self, monkeypatch, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.einsum called on the hot path")
+
+        monkeypatch.setattr(np, "einsum", refuse)
+        grads = self.step(name)[2]()
+        assert all(np.isfinite(g).all() for g in grads)
+
+    @pytest.mark.parametrize("name, calls", [("lau/off", 4), ("bilinear/ce", 2)])
+    def test_input_layer_skips_its_input_gradient(self, monkeypatch, name, calls):
+        # conv1's dX has no reader: its backward computes only dW and db
+        import lau.net
+
+        real = lau.net.conv2d_backward
+        seen = []
+
+        def counting(*args):
+            seen.append(args[0].kernel)
+            return real(*args)
+
+        backward = self.step(name)[2]
+        monkeypatch.setattr(lau.net, "conv2d_backward", counting)
+        backward()
+        assert len(seen) == calls
 
 
 class TestGradcheckHarness:
@@ -425,11 +503,7 @@ class TestTraining:
     def test_single_step_descends(self):
         cfg = toy_config(epochs=1, batch=8, loss_kind="ce", base_lr=1e-3, momentum=0.0)
         tr, _ = self.make_data(cfg, count=8)
-        rng = Rng(cfg.seed)
-        net = build_net(cfg.in_channels, cfg.num_classes, cfg.decoder_channels,
-                        cfg.reduced_channels, cfg.lau_ratio, cfg.total_upsample,
-                        cfg.offset_groups, cfg.slope, rng, cfg.weight_decay)
-        before = evaluate(net, cfg, tr)["loss"]
+        before = evaluate(net_for(cfg), cfg, tr)["loss"]
         after = train(cfg, tr, tr).metrics[0]["loss"]
         assert after < before
 

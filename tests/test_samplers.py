@@ -21,7 +21,9 @@ from lau.samplers import (
 )
 
 from _oracles import (
+    add_at_bilinear_upsample_backward,
     assert_adjoint,
+    gather_bilinear_upsample,
     oracle_corner,
     oracle_kernel_sum,
     oracle_pixel_shuffle,
@@ -281,12 +283,27 @@ class TestCorner:
 
 
 class TestBilinearBackward:
-    def test_adjoint_identity(self):
-        rng = np.random.default_rng(13)
-        u = rng.normal(size=(2, 3, 3, 4))
-        for k in (1, 2, 3):
-            dv = rng.normal(size=(2, 3, 3 * k, 4 * k))
-            assert_adjoint(u, bilinear_upsample(u, k), dv, bilinear_upsample_backward(u.shape, k, dv))
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 2), st.integers(1, 3), st.integers(1, 6),
+           st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_adjoint_identity(self, k, n, c, h, w, seed):
+        rng = np.random.default_rng(seed)
+        u = rng.normal(size=(n, c, h, w))
+        dv = rng.normal(size=(n, c, k * h, k * w))
+        assert_adjoint(u, bilinear_upsample(u, k), dv, bilinear_upsample_backward(u.shape, k, dv))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 8])
+    def test_bytes_match_gather_reference(self, k):
+        # the phase-sliced forward and its adjoint give the same bytes as the
+        # gather / np.add.at reference, one-pixel edges included
+        rng = np.random.default_rng(k)
+        for shape in ((2, 3, 1, 1), (1, 2, 1, 5), (3, 1, 4, 1), (2, 3, 5, 7), (8, 4, 8, 8),
+                      (64, 4, 8, 8), (8, 4, 32, 32)):
+            u = rng.normal(size=shape)
+            dv = rng.normal(size=shape[:2] + (k * shape[2], k * shape[3]))
+            assert np.array_equal(bilinear_upsample(u, k), gather_bilinear_upsample(u, k))
+            assert np.array_equal(bilinear_upsample_backward(shape, k, dv),
+                                  add_at_bilinear_upsample_backward(shape, k, dv))
 
     def test_matches_lau_backward_at_zero_offsets(self):
         rng = np.random.default_rng(14)
