@@ -42,7 +42,6 @@ from .net import (
     TrainConfig,
     _guided_terms,
     _params,
-    _regression_grads,
     _regression_terms,
     build_net,
     conv2d_backward,
@@ -265,10 +264,11 @@ def _regression_draw(rng):
 
     def fn(vec):
         o = OffsetField(*_split(vec, off.dx.shape, off.dy.shape))
-        out, cs = _regression_terms(u, o, k, 1, labels, gamma, lam)
+        cs = build_candidate_set(u, o, k, 1, labels)
+        out, grad_terms = _regression_terms(cs, 1, labels, gamma, lam)
 
         def grad():
-            weights, direct = _regression_grads(cs, out, 1, labels, gamma, lam)
+            weights, direct = grad_terms()
             dlogits = cross_entropy_backward(lau_forward(u, o, k), labels, weights)
             _, doff = lau_backward(u, o, k, dlogits)
             return _flat(doff.dx + direct.dx, doff.dy + direct.dy)
@@ -346,8 +346,7 @@ def _network_instance(seed: int, loss_kind: str):
             if (np.abs(ce.values - ce_aux.values)[labels.valid] <= BRANCH_MARGIN).any():
                 continue
         if loss_kind == "reg":
-            _, cs = _regression_terms(cache["u"], cache["off"], cfg.lau_ratio, cache["rest"],
-                                      labels, cfg.gamma, cfg.lam)
+            cs = build_candidate_set(cache["u"], cache["off"], cfg.lau_ratio, cache["rest"], labels)
             if not _candidate_margins_ok(cs):
                 continue
         return net, cfg, features, labels

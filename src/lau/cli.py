@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -86,12 +87,20 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
-        """Check every field's type and the fields only this config has, then
-        hand every training rule to TrainConfig.validate."""
+        """Check every field's type, that every float is finite, and the fields
+        only this config has, then hand every training rule to
+        TrainConfig.validate."""
         types = {"int": int, "float": (int, float), "str": str}
         for f in fields(self):
-            if not isinstance(getattr(self, f.name), types[f.type]):
-                raise ConfigError("lambda" if f.name == "lam" else f.name, f"must be of type {f.type}")
+            key = "lambda" if f.name == "lam" else f.name
+            value = getattr(self, f.name)
+            if not isinstance(value, types[f.type]):
+                raise ConfigError(key, f"must be of type {f.type}")
+            # JSON's Infinity and NaN parse as floats and compare their way
+            # past every range rule below; an integer beyond float range
+            # would overflow on first use
+            if f.type == "float" and not _finite(value):
+                raise ConfigError(key, "must be a finite number")
         self.to_train_config().validate()
         for name, ok, message in (
             ("image_size", self.image_size >= self.output_stride
@@ -132,6 +141,13 @@ class ExperimentConfig:
         train_set = [gen_sample(self.seed, i, *args) for i in range(self.train_count)]
         val_set = [gen_sample(self.seed, _VAL_INDEX_BASE + i, *args) for i in range(self.val_count)]
         return train_set, val_set
+
+
+def _finite(x) -> bool:
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def load_config(path) -> ExperimentConfig:
@@ -235,7 +251,7 @@ def _sweep_point(task):
     if param == "lambda":
         obj["lambda"] = value
     else:
-        if value != int(value):
+        if not math.isfinite(value) or value != int(value):
             return (param, value, seed, None, None, f"ratio must be an integer, got {value}")
         obj["lau_ratio"] = int(value)
     try:

@@ -51,9 +51,9 @@ def as_tensor4(a) -> np.ndarray:
     arr = np.ascontiguousarray(a, dtype=np.float64)
     if arr.ndim != 4:
         raise ShapeError(f"expected a rank-4 tensor, got shape {arr.shape}")
-    if any(d < 1 for d in arr.shape):
+    if min(arr.shape) < 1:
         raise ShapeError(f"all dims must be >= 1, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("tensor contains non-finite values")
     return arr
 

@@ -94,7 +94,7 @@ class CoordinateMap:
             raise ShapeError(
                 f"px/py must be matching (n, h, w), got {self.px.shape} and {self.py.shape}"
             )
-        if not (np.all(np.isfinite(self.px)) and np.all(np.isfinite(self.py))):
+        if not (np.isfinite(self.px).all() and np.isfinite(self.py).all()):
             raise ValueError("coordinates must be finite")
 
     @property
@@ -137,7 +137,10 @@ class CandidateSet:
 def cross_entropy_map(logits: np.ndarray, labels: LabelMap) -> LossMap:
     """-log softmax probability of the true class, per valid pixel.
 
-    Computed with max subtraction so large logits stay finite.
+    Computed with max subtraction so large logits stay finite. The true
+    class's shifted logit is read by flat index into the (n, c, h, w)
+    layout, (sample * c + label) * h * w + pixel, which picks the elements
+    np.take_along_axis would, at a fraction of its per-call cost.
     """
     logits = as_tensor4(logits)
     n, c, h, w = logits.shape
@@ -151,7 +154,8 @@ def cross_entropy_map(logits: np.ndarray, labels: LabelMap) -> LossMap:
     lse = np.log(np.exp(z).sum(axis=1))
     valid = labels.valid
     safe = np.where(valid, labels.labels, 0)
-    picked = np.take_along_axis(z, safe[:, None], axis=1)[:, 0]
+    flat = (np.arange(n).reshape(n, 1, 1) * c + safe) * (h * w) + np.arange(h * w).reshape(1, h, w)
+    picked = z.ravel()[flat]
     values = np.where(valid, lse - picked, 0.0)
     # Guard against tiny negative round-off on saturated pixels.
     return LossMap(np.maximum(values, 0.0), valid)
@@ -243,18 +247,26 @@ def build_candidate_set(u: np.ndarray, off: OffsetField, k: int, rest: int,
     losses and coordinates agree on the sampler's output grid. Corner
     entries are constants; only the index-0 path is meant to carry gradient.
     """
+    refined = cross_entropy_map(bilinear_upsample(lau_forward(u, off, k), rest), labels)
+    return _candidate_set(u, off, k, rest, labels, refined)
+
+
+def _candidate_set(u, off: OffsetField, k: int, rest: int, labels: LabelMap,
+                   refined: LossMap) -> CandidateSet:
+    """build_candidate_set given the refined prediction's CE at label resolution.
+
+    The network's loss step has already computed that CE for its own loss,
+    so it passes it here instead of running the refined sampler again.
+    """
     u = as_tensor4(u)
     if off.m != 1:
         raise ShapeError("candidate machinery needs shared offsets (m = 1)")
     n, c, h, w = u.shape
 
-    def score(v: np.ndarray) -> LossMap:
-        lm = cross_entropy_map(bilinear_upsample(v, rest), labels)
-        return _pool_mean(lm.values, lm.valid, rest)
-
-    losses = [score(lau_forward(u, off, k))]
+    losses = [_pool_mean(refined.values, refined.valid, rest)]
     for corner in CORNERS:
-        losses.append(score(corner_upsample(u, k, corner)))
+        lm = cross_entropy_map(bilinear_upsample(corner_upsample(u, k, corner), rest), labels)
+        losses.append(_pool_mean(lm.values, lm.valid, rest))
 
     qx, qy = lau_source_coords(off, k)
     coords = [CoordinateMap(qx[:, 0], qy[:, 0])]
@@ -272,14 +284,12 @@ def select_theta_opt(cs: CandidateSet) -> CoordinateMap:
     Ties go to the lowest index, so the refined sampler (index 0) wins any
     tie against a corner.
     """
-    stack = cs.loss_stack()
-    best = stack.argmin(axis=0)  # argmin takes the first minimum
-    px = np.stack([cm.px for cm in cs.coords])
-    py = np.stack([cm.py for cm in cs.coords])
-    sel = best[None]
-    return CoordinateMap(
-        np.take_along_axis(px, sel, axis=0)[0], np.take_along_axis(py, sel, axis=0)[0]
-    )
+    best = cs.loss_stack().argmin(axis=0)  # argmin takes the first minimum
+    # candidate j's entry of pixel i sits at flat index j * size + i of the stack
+    flat = best * best.size + np.arange(best.size).reshape(best.shape)
+    px = np.stack([cm.px for cm in cs.coords]).ravel()
+    py = np.stack([cm.py for cm in cs.coords]).ravel()
+    return CoordinateMap(px[flat], py[flat])
 
 
 def regression_weight(cs: CandidateSet, lam: float) -> np.ndarray:
@@ -296,6 +306,15 @@ def regression_loss(cs: CandidateSet, gamma: float, lam: float) -> LossMap:
     differentiation; gradient flows through the refined loss (scaled by its
     weight) and through the predicted coordinates only.
     """
+    return _regression_parts(cs, gamma, lam)[0]
+
+
+def _regression_parts(cs: CandidateSet, gamma: float, lam: float):
+    """regression_loss with the target and weight it selected:
+    (loss map, select_theta_opt(cs), regression_weight(cs, lam)).
+
+    The gradient reads the same two, so the loss step computes them once.
+    """
     if gamma < 0 or lam < 0:
         raise ValueError(f"gamma and lambda must be >= 0, got {gamma}, {lam}")
     theta_opt = select_theta_opt(cs)
@@ -304,7 +323,7 @@ def regression_loss(cs: CandidateSet, gamma: float, lam: float) -> LossMap:
     main = cs.losses[0]
     valid = main.valid
     values = np.where(valid, gamma * sl1.values + main.values * w, 0.0)
-    return LossMap(values, valid)
+    return LossMap(values, valid), theta_opt, w
 
 
 def reduce_loss(lm: LossMap) -> float:

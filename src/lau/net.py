@@ -20,15 +20,13 @@ import numpy as np
 from .core import _HEADER, ConfigError, LabelMap, Rng, ShapeError, as_tensor4, atomic_write
 from .losses import (
     LossMap,
-    build_candidate_set,
+    _candidate_set,
+    _regression_parts,
     cross_entropy_backward,
     cross_entropy_map,
     guided_weight,
     offset_guided_loss,
     reduce_loss,
-    regression_loss,
-    regression_weight,
-    select_theta_opt,
     smooth_l1_grad,
 )
 from .samplers import (
@@ -120,8 +118,18 @@ def _taps(kernel: int):
 
 
 def _padded(x: np.ndarray, kernel: int) -> np.ndarray:
+    """x zero-padded by (kernel - 1) // 2 on both spatial axes.
+
+    A copy into a zeroed buffer: the same bytes as np.pad, without its
+    per-call cost, which on small maps exceeds the conv's own matmuls.
+    """
     pad = (kernel - 1) // 2
-    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    if not pad:
+        return x
+    n, c, h, w = x.shape
+    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+    xp[:, :, pad : pad + h, pad : pad + w] = x
+    return xp
 
 
 def conv2d_forward(layer: ConvLayer, x: np.ndarray) -> np.ndarray:
@@ -433,22 +441,24 @@ def _guided_terms(u, k: int, rest: int, ce: LossMap, labels: LabelMap, lam: floa
     return offset_guided_loss(ce, ce_aux, lam), ce_aux
 
 
-def _regression_terms(u, off: OffsetField, k: int, rest: int, labels: LabelMap,
-                      gamma: float, lam: float):
-    """The coordinate-regression loss at the sampler's output grid and its
-    candidate set: (loss map, candidate set)."""
-    cs = build_candidate_set(u, off, k, rest, labels)
-    return regression_loss(cs, gamma, lam), cs
+def _regression_terms(cs, rest: int, labels: LabelMap, gamma: float, lam: float):
+    """The coordinate-regression loss of candidate set `cs` at the sampler's
+    output grid, and a thunk for what its gradient reads besides the logits.
 
-
-def _regression_grads(cs, out: LossMap, rest: int, labels: LabelMap, gamma: float, lam: float):
-    """What the regression loss's gradient reads besides the logits.
-
-    Returns (per-pixel CE weights at label resolution, smooth-L1 gradient on
-    the offsets) for the loss map `out` of candidate set `cs`.
+    The thunk returns (per-pixel CE weights at label resolution, smooth-L1
+    gradient on the offsets). It reuses the target and weight the loss
+    selected, so neither is computed twice.
     """
+    out, theta_opt, lam_w = _regression_parts(cs, gamma, lam)
+    return out, lambda: _regression_grads(cs.coords[0], theta_opt, lam_w, out, rest, labels, gamma)
+
+
+def _regression_grads(pred, theta_opt, lam_w, out: LossMap, rest: int, labels: LabelMap,
+                      gamma: float):
+    """(CE weights, offset gradient) of loss map `out`, whose refined
+    coordinates `pred` are pulled toward `theta_opt` and whose refined CE is
+    weighted by `lam_w`."""
     ns = int(out.valid.sum())
-    lam_w = regression_weight(cs, lam)
     # CE gradient: each full-res pixel inherits its stage block's weight
     # over (stage count * block valid count).
     n, sh, sw = out.shape
@@ -457,7 +467,7 @@ def _regression_grads(cs, out: LossMap, rest: int, labels: LabelMap, gamma: floa
     weights = np.repeat(np.repeat(per_block, rest, axis=1), rest, axis=2)
     weights = np.where(labels.valid, weights, 0.0)
     # direct offset gradient from the smooth-L1 pull toward theta_opt
-    gx, gy = smooth_l1_grad(cs.coords[0], select_theta_opt(cs))
+    gx, gy = smooth_l1_grad(pred, theta_opt)
     scale = np.where(out.valid, gamma / ns, 0.0)
     return weights, OffsetField((gx * scale)[:, None], (gy * scale)[:, None])
 
@@ -480,10 +490,10 @@ def _loss_forward(net: SegNet, cfg: TrainConfig, logits, cache, labels: LabelMap
         return reduce_loss(loss), lambda: (
             np.where(ce.valid, guided_weight(ce, ce_aux, cfg.lam) / nv, 0.0), None)
     if cfg.loss_kind == "reg":
-        loss, cs = _regression_terms(
-            cache["u"], cache["off"], net.lau_ratio, cache["rest"], labels, cfg.gamma, cfg.lam)
-        return reduce_loss(loss), lambda: _regression_grads(
-            cs, loss, cache["rest"], labels, cfg.gamma, cfg.lam)
+        # candidate 0 is the network's own refined prediction: reuse its CE
+        cs = _candidate_set(cache["u"], cache["off"], net.lau_ratio, cache["rest"], labels, ce)
+        loss, grad_terms = _regression_terms(cs, cache["rest"], labels, cfg.gamma, cfg.lam)
+        return reduce_loss(loss), grad_terms
     raise ConfigError("loss", f"unknown loss kind {cfg.loss_kind!r}")
 
 

@@ -27,10 +27,17 @@ periodic-shuffling view of sub-pixel convolution (Shi et al. 2016, arXiv
 _cells gives for those columns, so zero-offset lau still equals bilinear bit
 for bit, and the adjoint adds each input entry's terms in the order a
 scatter over the output would.
+
+The geometry that depends only on shapes (the unshifted output grid, its
+bilinear fractions and the corner samplers' clipped source indices) is
+computed once per shape and served from a bounded cache as read-only
+arrays, so a caller that tried to modify one gets an error rather than
+corrupting later calls.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,7 +106,7 @@ class OffsetField:
             raise ShapeError(
                 f"dx/dy must be equal rank-4 shapes, got {self.dx.shape} and {self.dy.shape}"
             )
-        if not (np.all(np.isfinite(self.dx)) and np.all(np.isfinite(self.dy))):
+        if not (np.isfinite(self.dx).all() and np.isfinite(self.dy).all()):
             raise ValueError("offsets must be finite")
 
     @property
@@ -146,12 +153,27 @@ def _cells(px, py, h: int, w: int):
     return x0, np.minimum(x0 + 1, w - 1), px - x0, y0, np.minimum(y0 + 1, h - 1), py - y0
 
 
+# Per-shape geometry cache size: training touches a handful of shapes, the
+# FD suites a few dozen.
+_GEOMETRY_CACHE = 256
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@functools.lru_cache(maxsize=_GEOMETRY_CACHE)
+def _grid(size: int, k: int) -> np.ndarray:
+    """Unshifted source positions i/k of an output axis of `size` entries."""
+    return _frozen(np.arange(size, dtype=np.float64) / k)
+
+
+@functools.lru_cache(maxsize=_GEOMETRY_CACHE)
 def _upsample_fractions(h: int, w: int, k: int):
     """_cells' (fx, fy) on the unshifted k-fold output grid, one 1-D array per axis."""
-    gx = np.arange(k * w, dtype=np.float64) / k
-    gy = np.arange(k * h, dtype=np.float64) / k
-    _, _, fx, _, _, fy = _cells(gx, gy, h, w)
-    return fx, fy
+    _, _, fx, _, _, fy = _cells(_grid(k * w, k), _grid(k * h, k), h, w)
+    return _frozen(fx), _frozen(fy)
 
 
 def _along(axis: int, index):
@@ -232,8 +254,7 @@ def lau_source_coords(off: OffsetField, k: int):
 
     Returns (n, m, h_out, w_out) arrays matching the offset-group layout.
     """
-    gx = np.arange(off.w_out, dtype=np.float64) / k
-    gy = np.arange(off.h_out, dtype=np.float64) / k
+    gx, gy = _grid(off.w_out, k), _grid(off.h_out, k)
     return gx[None, None, None, :] + off.dx, gy[None, None, :, None] + off.dy
 
 
@@ -335,13 +356,19 @@ def pixel_unshuffle(v: np.ndarray, k: int) -> np.ndarray:
     return np.ascontiguousarray(u)
 
 
+@functools.lru_cache(maxsize=_GEOMETRY_CACHE)
+def _corner_axis(size: int, k: int, mode: str) -> np.ndarray:
+    """Source indices of one k-fold output axis over `size` inputs, rounded by `mode`."""
+    rounding = np.floor if mode == "floor" else np.ceil
+    return _frozen(np.clip(rounding(_grid(k * size, k)), 0, size - 1).astype(np.intp))
+
+
 def corner_source_coords(h: int, w: int, k: int, corner: Corner):
-    """Clipped integer source coordinates (xs, ys) the corner sampler reads."""
-    roundx = np.floor if corner.x_mode == "floor" else np.ceil
-    roundy = np.floor if corner.y_mode == "floor" else np.ceil
-    xs = np.clip(roundx(np.arange(k * w, dtype=np.float64) / k), 0, w - 1).astype(np.intp)
-    ys = np.clip(roundy(np.arange(k * h, dtype=np.float64) / k), 0, h - 1).astype(np.intp)
-    return xs, ys
+    """Clipped integer source coordinates (xs, ys) the corner sampler reads.
+
+    Both are cached read-only arrays.
+    """
+    return _corner_axis(w, k, corner.x_mode), _corner_axis(h, k, corner.y_mode)
 
 
 def corner_upsample(u: np.ndarray, k: int, corner: Corner) -> np.ndarray:

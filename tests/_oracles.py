@@ -3,8 +3,10 @@
 Everything here is written directly from the mathematical definitions, with
 none of the gather/scatter shortcuts the library uses, so agreement is
 meaningful. The exception is the reference kernels at the end: per-tap
-einsum convs and a gather/np.add.at bilinear stage, the byte baseline that
-the library's matmul and phase-sliced kernels must reproduce exactly.
+einsum convs, a gather/np.add.at bilinear stage, np.pad zero padding and a
+np.take_along_axis cross-entropy, the byte baseline that the library's
+matmul, phase-sliced, buffer-padding and flat-index paths must reproduce
+exactly.
 """
 
 import math
@@ -161,14 +163,28 @@ def assert_adjoint(x, ax, y, aty):
 
 
 # ---------------------------------------------------------------------------
-# reference kernels: the byte baseline of the library's conv and bilinear paths
+# reference kernels: the byte baseline of the library's conv, bilinear and CE paths
+
+def np_pad_reference(x, kernel):
+    """Zero padding by (kernel - 1) // 2 on both spatial axes, through np.pad."""
+    pad = (kernel - 1) // 2
+    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+
+
+def take_along_axis_cross_entropy(logits, labels):
+    """Per-pixel CE values with the true class picked by np.take_along_axis."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=1))
+    safe = np.where(labels.valid, labels.labels, 0)
+    picked = np.take_along_axis(z, safe[:, None], axis=1)[:, 0]
+    return np.maximum(np.where(labels.valid, lse - picked, 0.0), 0.0)
+
 
 def einsum_conv2d_forward(layer, x):
     """Per-tap einsum cross-correlation (zero padding (kernel - 1) // 2)."""
     n, cin, h, w = x.shape
     kk = layer.kernel
-    pad = (kk - 1) // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    xp = np_pad_reference(x, kk)
     out = np.zeros((n, layer.out_ch, h, w))
     for dy in range(kk):
         for dx in range(kk):
@@ -183,7 +199,7 @@ def einsum_conv2d_backward(layer, x, dy_out):
     n, cin, h, w = x.shape
     kk = layer.kernel
     pad = (kk - 1) // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    xp = np_pad_reference(x, kk)
     db = dy_out.sum(axis=(0, 2, 3))
     dw = np.zeros_like(layer.weights)
     dxp = np.zeros_like(xp)

@@ -65,6 +65,26 @@ assert len(probe.evals["ce"]) == 1845, len(probe.evals["ce"])
 print("contract ok")
 """
 
+# The tracer wraps only plain public functions (inspect.isfunction), so a
+# cache decorator on one of these would silently drop its span.
+GEOMETRY_SPANS = """
+import runpy
+import numpy as np
+ns = runpy.run_path("perfbench/run.py")
+lau = ns["import_lau"]()
+tracer = ns["Tracer"]()
+tracer.install()
+try:
+    off = lau.samplers.OffsetField.zeros(1, 1, 4, 4)
+    labels = lau.core.LabelMap(np.zeros((1, 4, 4), dtype=int), 2)
+    lau.losses.build_candidate_set(np.zeros((1, 2, 2, 2)), off, 2, 1, labels)
+finally:
+    tracer.uninstall()
+for name in ("samplers.corner_source_coords", "samplers.lau_source_coords"):
+    assert name in tracer.names, (name, sorted(set(tracer.names)))
+print("contract ok")
+"""
+
 
 def run_script(script, *args):
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
@@ -80,3 +100,7 @@ def test_benchmark_hooks_resolve():
 
 def test_benchmark_probes_accept_real_work(tmp_path):
     run_script(PROBES, str(tmp_path))
+
+
+def test_tracer_wraps_the_geometry_entry_points():
+    run_script(GEOMETRY_SPANS)

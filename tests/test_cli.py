@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -34,6 +35,10 @@ def run_cli(args, timeout=60, **env):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]), **env)
     return subprocess.run([sys.executable, "-m", "lau.cli", *args], env=env,
                           capture_output=True, text=True, timeout=timeout)
+
+
+# every float-typed config key, by its JSON name
+FLOAT_KEYS = ["lambda" if f.name == "lam" else f.name for f in fields(ExperimentConfig) if f.type == "float"]
 
 
 def write_config(tmp_path, **overrides):
@@ -197,6 +202,23 @@ class TestTrainCommand:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:") and "two classes" in proc.stderr, proc.stderr
 
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_names_the_key(self, tmp_path, capsys, key):
+        # json writes inf as Infinity, which json.load reads back as a float
+        cfg = write_config(tmp_path, **{key: float("inf")})
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "finite" in err, err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("gamma", float("nan")), ("lr", float("-inf")), ("noise_std", 10**400),
+    ], ids=["nan", "-inf", "int-beyond-float"])
+    def test_nan_infinity_and_overflow_rejected(self, tmp_path, key, value):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_json(dict(TINY, **{key: value}))
+        assert exc.value.field_name == key and "finite" in str(exc.value)
+
     def test_invalid_config_nonzero_exit(self, tmp_path, capsys):
         cfg = write_config(tmp_path, lau_ratio=3)
         rc = main(["train", "--config", cfg, "--out", str(tmp_path / "x")])
@@ -231,6 +253,20 @@ class TestSweepCommand:
         assert by_value["3"].endswith(",,") and by_value["5"].endswith(",,")
         assert not by_value["2"].endswith(",,")
         assert "lau_ratio" in (out / "errors.txt").read_text()
+
+    @pytest.mark.parametrize("param, value, named", [
+        ("ratio", "inf", "ratio must be an integer"),
+        ("ratio", "nan", "ratio must be an integer"),
+        ("lambda", "inf", "lambda"),
+    ])
+    def test_non_finite_value_is_a_failed_row(self, tmp_path, param, value, named):
+        cfg = write_config(tmp_path, epochs=1, train_count=4, val_count=2)
+        out = tmp_path / "sw"
+        proc = run_cli(["sweep", "--param", param, "--values", value, "--config", cfg, "--out", str(out)])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert named in (out / "errors.txt").read_text()
+        assert (out / "sweep.csv").read_text().strip().split("\n")[1].endswith(",,")
 
     def test_single_value_matches_train(self, tmp_path):
         cfg = write_config(tmp_path, epochs=1, train_count=4, val_count=2)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lau.core import LabelMap, ShapeError
 from lau.losses import (
@@ -41,7 +43,7 @@ def random_candidate_set(rng, n=1, h=3, w=3):
     return CandidateSet(losses, cs_coords)
 
 
-from _oracles import oracle_guided, oracle_regression
+from _oracles import oracle_guided, oracle_regression, take_along_axis_cross_entropy
 
 
 class TestCrossEntropy:
@@ -81,6 +83,19 @@ class TestCrossEntropy:
     def test_class_count_mismatch(self):
         with pytest.raises(ShapeError):
             cross_entropy_map(np.zeros((1, 4, 2, 2)), LabelMap(np.zeros((1, 2, 2), int), 3))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.integers(2, 5), st.integers(1, 6), st.integers(1, 6),
+           st.integers(0, 2**32 - 1))
+    def test_bytes_match_take_along_axis_reference(self, n, c, h, w, seed):
+        # the flat-index pick reads the same true-class logits, ignored
+        # pixels and large logits included
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(scale=10.0, size=(n, c, h, w))
+        labels = LabelMap(rng.integers(-1, c, size=(n, h, w)), c)
+        lm = cross_entropy_map(logits, labels)
+        assert np.array_equal(lm.values, take_along_axis_cross_entropy(logits, labels))
+        assert np.array_equal(lm.valid, labels.valid)
 
     def test_backward_matches_fd(self):
         rng = np.random.default_rng(1)

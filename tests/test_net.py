@@ -32,7 +32,7 @@ from lau.net import (
 from lau.samplers import pixel_shuffle
 from lau.synth import gen_sample
 
-from _oracles import assert_adjoint, einsum_conv2d_backward, einsum_conv2d_forward
+from _oracles import assert_adjoint, einsum_conv2d_backward, einsum_conv2d_forward, np_pad_reference
 
 
 def toy_config(**overrides):
@@ -117,6 +117,16 @@ class TestConv:
             assert np.array_equal(conv2d_forward(layer, x), einsum_conv2d_forward(layer, x))
             for got, want in zip(conv2d_backward(layer, x, dy), einsum_conv2d_backward(layer, x, dy)):
                 assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kernel", [1, 3])
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 5), st.integers(1, 6), st.integers(1, 6),
+           st.integers(0, 2**32 - 1))
+    def test_padding_bytes_match_np_pad(self, kernel, n, c, h, w, seed):
+        from lau.net import _padded
+
+        x = np.random.default_rng(seed).normal(size=(n, c, h, w))
+        assert np.array_equal(_padded(x, kernel), np_pad_reference(x, kernel))
 
     def test_gradcheck(self):
         rep = conv_gradcheck(seed=0, cases=10)
@@ -313,6 +323,45 @@ class TestHotPath:
         monkeypatch.setattr(lau.net, "conv2d_backward", counting)
         backward()
         assert len(seen) == calls
+
+    @pytest.mark.parametrize("name", sorted(STEPS))
+    def test_step_runs_without_pad_or_take_along_axis(self, monkeypatch, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.pad or np.take_along_axis called on the hot path")
+
+        monkeypatch.setattr(np, "pad", refuse)
+        monkeypatch.setattr(np, "take_along_axis", refuse)
+        grads = self.step(name)[2]()
+        assert all(np.isfinite(g).all() for g in grads)
+
+    def count_calls(self, monkeypatch, *names):
+        """Count calls to each named function made through lau.net or lau.losses."""
+        import lau.losses
+        import lau.net
+
+        seen = dict.fromkeys(names, 0)
+        for name in names:
+            def counting(*args, _name=name, _real=getattr(lau.losses, name)):
+                seen[_name] += 1
+                return _real(*args)
+
+            for mod in (lau.net, lau.losses):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counting)
+        return seen
+
+    def test_reg_value_samples_once(self, monkeypatch):
+        # candidate 0 of the regression candidate set reuses the network's
+        # refined CE instead of running the sampler a second time
+        seen = self.count_calls(monkeypatch, "lau_forward")
+        self.step("lau/reg")
+        assert seen == {"lau_forward": 1}
+
+    def test_reg_step_selects_once(self, monkeypatch):
+        # the backward pass reuses the loss's target and weight
+        seen = self.count_calls(monkeypatch, "select_theta_opt", "regression_weight")
+        self.step("lau/reg")[2]()
+        assert seen == {"select_theta_opt": 1, "regression_weight": 1}
 
 
 class TestGradcheckHarness:

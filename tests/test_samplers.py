@@ -13,9 +13,11 @@ from lau.samplers import (
     OffsetField,
     bilinear_upsample,
     bilinear_upsample_backward,
+    corner_source_coords,
     corner_upsample,
     lau_backward,
     lau_forward,
+    lau_source_coords,
     pixel_shuffle,
     pixel_unshuffle,
 )
@@ -280,6 +282,45 @@ class TestCorner:
     def test_rejects_bad_mode(self):
         with pytest.raises(ValueError):
             Corner("floor", "round")
+
+
+class TestGeometryCache:
+    SHAPES = [(1, 1, 1), (1, 5, 2), (3, 1, 3), (4, 6, 4), (8, 8, 8)]  # (h, w, k)
+
+    @pytest.mark.parametrize("h, w, k", SHAPES)
+    def test_matches_a_fresh_computation(self, h, w, k):
+        from lau.samplers import _upsample_fractions
+
+        gx, gy = np.arange(k * w) / k, np.arange(k * h) / k
+        fx, fy = _upsample_fractions(h, w, k)
+        for got, grid, size in ((fx, gx, w), (fy, gy, h)):
+            p = np.clip(grid, 0.0, size - 1.0)
+            assert np.array_equal(got, p - np.floor(p))
+        for corner in CORNERS:
+            xs, ys = corner_source_coords(h, w, k, corner)
+            for got, grid, size, mode in ((xs, gx, w, corner.x_mode), (ys, gy, h, corner.y_mode)):
+                want = np.clip(np.floor(grid) if mode == "floor" else np.ceil(grid), 0, size - 1)
+                assert got.dtype == np.intp and np.array_equal(got, want)
+        off = OffsetField.zeros(1, 1, k * h, k * w)
+        qx, qy = lau_source_coords(off, k)
+        assert np.array_equal(qx[0, 0], np.broadcast_to(gx, (k * h, k * w)))
+        assert np.array_equal(qy[0, 0], np.broadcast_to(gy[:, None], (k * h, k * w)))
+
+    @pytest.mark.parametrize("h, w, k", SHAPES)
+    def test_cached_arrays_are_shared_and_read_only(self, h, w, k):
+        from lau.samplers import _upsample_fractions
+
+        cached = list(_upsample_fractions(h, w, k)) + list(corner_source_coords(h, w, k, CORNERS[3]))
+        again = list(_upsample_fractions(h, w, k)) + list(corner_source_coords(h, w, k, CORNERS[3]))
+        assert all(a is b for a, b in zip(cached, again))
+        for a in cached:
+            with pytest.raises(ValueError):
+                a[0] = 1
+
+    def test_public_results_stay_writable(self):
+        qx, qy = lau_source_coords(OffsetField.zeros(1, 1, 4, 4), 2)
+        qx[0, 0, 0, 0] = qy[0, 0, 0, 0] = 1.0  # fresh arrays, not the cached grid
+        assert lau_source_coords(OffsetField.zeros(1, 1, 4, 4), 2)[0][0, 0, 0, 0] == 0.0
 
 
 class TestBilinearBackward:
