@@ -7,6 +7,10 @@ the value and a thunk for the analytic gradient, so the finite-difference
 probes evaluate only the forward pass; the backward pass runs once per
 checked point, as it does in `network_gradcheck`.
 
+The loss suites assemble their value and gradient with the same
+`guided_terms` / `regression_terms` of `lau.losses` that the training step
+calls, so they check the loss step's own assembly, not a copy of it.
+
 A draw is rejected when its evaluation point sits too close to a kink:
 integer lattice hits of the sampling kernel, clamp boundaries, leaky-ReLU
 zeros, loss-branch switches, or the smooth-L1 transition. Central
@@ -31,18 +35,17 @@ from .losses import (
     build_candidate_set,
     cross_entropy_backward,
     cross_entropy_map,
-    guided_weight,
-    offset_guided_loss,
+    guided_terms,
     reduce_loss,
+    regression_terms,
     select_theta_opt,
 )
 from .net import (
     ConvLayer,
     GradcheckReport,
     TrainConfig,
-    _guided_terms,
+    _bilinear_ce,
     _params,
-    _regression_terms,
     build_net,
     conv2d_backward,
     conv2d_forward,
@@ -211,17 +214,11 @@ def _guided_draw(rng):
     ce_aux = cross_entropy_map(aux_logits, labels)
     if (np.abs(ce.values - ce_aux.values)[labels.valid] <= BRANCH_MARGIN).any():
         return None
-    nv = int(labels.valid.sum())
 
     def fn(vec):
         lg = vec.reshape(logits.shape)
-        m = cross_entropy_map(lg, labels)
-
-        def grad():
-            lam_w = guided_weight(m, ce_aux, lam)
-            return cross_entropy_backward(lg, labels, np.where(labels.valid, lam_w / nv, 0.0)).ravel()
-
-        return reduce_loss(offset_guided_loss(m, ce_aux, lam)), grad
+        out, weights = guided_terms(cross_entropy_map(lg, labels), ce_aux, lam)
+        return reduce_loss(out), lambda: cross_entropy_backward(lg, labels, weights()).ravel()
 
     return fn, logits.ravel()
 
@@ -259,18 +256,21 @@ def _regression_draw(rng):
     u = rng.normal(size=(n, c, hh, ww))
     labels = LabelMap(rng.integers(0, c, size=(n, k * hh, k * ww)), c)
     off = _safe_offsets(rng, n, 1, hh, ww, k)
-    if not _candidate_margins_ok(build_candidate_set(u, off, k, 1, labels)):
+    refined = cross_entropy_map(lau_forward(u, off, k), labels)
+    if not _candidate_margins_ok(build_candidate_set(u, off, k, 1, labels, refined)):
         return None
 
     def fn(vec):
         o = OffsetField(*_split(vec, off.dx.shape, off.dy.shape))
-        cs = build_candidate_set(u, o, k, 1, labels)
-        out, grad_terms = _regression_terms(cs, 1, labels, gamma, lam)
+        # the labels sit at the sampler's resolution (rest = 1), so its
+        # output is the refined logits, shared by the value and the gradient
+        v = lau_forward(u, o, k)
+        out, grad_terms = regression_terms(
+            build_candidate_set(u, o, k, 1, labels, cross_entropy_map(v, labels)), gamma, lam)
 
         def grad():
-            weights, direct = grad_terms()
-            dlogits = cross_entropy_backward(lau_forward(u, o, k), labels, weights)
-            _, doff = lau_backward(u, o, k, dlogits)
+            weights, direct = grad_terms(1, labels)
+            _, doff = lau_backward(u, o, k, cross_entropy_backward(v, labels, weights))
             return _flat(doff.dx + direct.dx, doff.dy + direct.dy)
 
         return reduce_loss(out), grad
@@ -342,11 +342,12 @@ def _network_instance(seed: int, loss_kind: str):
             continue
         if loss_kind == "off":
             ce = cross_entropy_map(logits, labels)
-            _, ce_aux = _guided_terms(cache["u"], cfg.lau_ratio, cache["rest"], ce, labels, cfg.lam)
+            ce_aux = _bilinear_ce(cache["u"], cfg.lau_ratio, cache["rest"], labels)
             if (np.abs(ce.values - ce_aux.values)[labels.valid] <= BRANCH_MARGIN).any():
                 continue
         if loss_kind == "reg":
-            cs = build_candidate_set(cache["u"], cache["off"], cfg.lau_ratio, cache["rest"], labels)
+            cs = build_candidate_set(cache["u"], cache["off"], cfg.lau_ratio, cache["rest"], labels,
+                                     cross_entropy_map(logits, labels))
             if not _candidate_margins_ok(cs):
                 continue
         return net, cfg, features, labels

@@ -94,7 +94,8 @@ class ExperimentConfig:
         for f in fields(self):
             key = "lambda" if f.name == "lam" else f.name
             value = getattr(self, f.name)
-            if not isinstance(value, types[f.type]):
+            # JSON's true/false load as bool, which is an int subclass
+            if isinstance(value, bool) or not isinstance(value, types[f.type]):
                 raise ConfigError(key, f"must be of type {f.type}")
             # JSON's Infinity and NaN parse as floats and compare their way
             # past every range rule below; an integer beyond float range
@@ -279,7 +280,11 @@ def cmd_sweep(args) -> int:
         seeds = [int(base_json.get("seed", 0))]
     tasks = [(base_json, args.param, v, s) for v in values for s in seeds]
 
-    threads = int(os.environ.get("LAU_THREADS", "0") or "0")
+    raw = os.environ.get("LAU_THREADS", "0") or "0"
+    try:
+        threads = int(raw)
+    except ValueError:
+        raise ValueError(f"LAU_THREADS must be an integer, got {raw!r}") from None
     if threads > 1 and len(tasks) > 1:
         import multiprocessing as mp
 

@@ -40,10 +40,12 @@ __all__ = [
     "build_candidate_set",
     "cross_entropy_backward",
     "cross_entropy_map",
+    "guided_terms",
     "guided_weight",
     "offset_guided_loss",
     "reduce_loss",
     "regression_loss",
+    "regression_terms",
     "regression_weight",
     "select_theta_opt",
     "smooth_l1",
@@ -219,11 +221,22 @@ def offset_guided_loss(loss: LossMap, aux: LossMap, lam: float) -> LossMap:
     carries no gradient; differentiating this op scales the incoming
     gradient by the weight only.
     """
+    return guided_terms(loss, aux, lam)[0]
+
+
+def guided_terms(ce: LossMap, aux: LossMap, lam: float):
+    """offset_guided_loss(ce, aux, lam) and a thunk for its gradient.
+
+    The thunk returns the derivative of reduce_loss(loss map) with respect
+    to ce.values: the per-pixel CE weights, at the resolution of `ce`. The
+    guided weight is computed once, for the value and the gradient.
+    """
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
-    w = guided_weight(loss, aux, lam)
-    valid = loss.valid & aux.valid
-    return LossMap(np.where(valid, loss.values * w, 0.0), valid)
+    w = guided_weight(ce, aux, lam)
+    valid = ce.valid & aux.valid
+    out = LossMap(np.where(valid, ce.values * w, 0.0), valid)
+    return out, lambda: np.where(valid, w / int(valid.sum()), 0.0)
 
 
 def _pool_mean(values: np.ndarray, valid: np.ndarray, r: int) -> LossMap:
@@ -237,26 +250,17 @@ def _pool_mean(values: np.ndarray, valid: np.ndarray, r: int) -> LossMap:
 
 
 def build_candidate_set(u: np.ndarray, off: OffsetField, k: int, rest: int,
-                        labels: LabelMap) -> CandidateSet:
+                        labels: LabelMap, refined: LossMap) -> CandidateSet:
     """Assemble the 5-way candidate losses and coordinates for one batch.
 
     Each candidate runs its sampler at ratio k, brings the result to label
     resolution with the plain bilinear stage over the remaining factor
-    `rest`, and scores it with cross-entropy against `labels`. The
-    per-pixel losses are averaged back over each rest-by-rest block so
-    losses and coordinates agree on the sampler's output grid. Corner
-    entries are constants; only the index-0 path is meant to carry gradient.
-    """
-    refined = cross_entropy_map(bilinear_upsample(lau_forward(u, off, k), rest), labels)
-    return _candidate_set(u, off, k, rest, labels, refined)
-
-
-def _candidate_set(u, off: OffsetField, k: int, rest: int, labels: LabelMap,
-                   refined: LossMap) -> CandidateSet:
-    """build_candidate_set given the refined prediction's CE at label resolution.
-
-    The network's loss step has already computed that CE for its own loss,
-    so it passes it here instead of running the refined sampler again.
+    `rest`, and scores it with cross-entropy against `labels`. `refined` is
+    that CE for the offset-refined sampler, which every caller has already
+    computed for its own loss. The per-pixel losses are averaged back over
+    each rest-by-rest block so losses and coordinates agree on the
+    sampler's output grid. Corner entries are constants; only the index-0
+    path is meant to carry gradient.
     """
     u = as_tensor4(u)
     if off.m != 1:
@@ -306,24 +310,43 @@ def regression_loss(cs: CandidateSet, gamma: float, lam: float) -> LossMap:
     differentiation; gradient flows through the refined loss (scaled by its
     weight) and through the predicted coordinates only.
     """
-    return _regression_parts(cs, gamma, lam)[0]
+    return regression_terms(cs, gamma, lam)[0]
 
 
-def _regression_parts(cs: CandidateSet, gamma: float, lam: float):
-    """regression_loss with the target and weight it selected:
-    (loss map, select_theta_opt(cs), regression_weight(cs, lam)).
+def regression_terms(cs: CandidateSet, gamma: float, lam: float):
+    """regression_loss(cs, gamma, lam) and a thunk for its gradient.
 
-    The gradient reads the same two, so the loss step computes them once.
+    The thunk, grad(rest, labels), takes the bilinear factor and labels the
+    candidate set was built with and returns (per-pixel CE weights at label
+    resolution, smooth-L1 gradient on the offsets as an OffsetField). It
+    reuses the target and weight the loss selected, so neither is computed
+    twice.
     """
     if gamma < 0 or lam < 0:
         raise ValueError(f"gamma and lambda must be >= 0, got {gamma}, {lam}")
     theta_opt = select_theta_opt(cs)
-    sl1 = smooth_l1(cs.coords[0], theta_opt)
+    pred = cs.coords[0]
+    sl1 = smooth_l1(pred, theta_opt)
     w = regression_weight(cs, lam)
     main = cs.losses[0]
     valid = main.valid
-    values = np.where(valid, gamma * sl1.values + main.values * w, 0.0)
-    return LossMap(values, valid), theta_opt, w
+    out = LossMap(np.where(valid, gamma * sl1.values + main.values * w, 0.0), valid)
+
+    def grad(rest: int, labels: LabelMap):
+        ns = int(valid.sum())
+        # CE gradient: each full-res pixel inherits its stage block's weight
+        # over (stage count * block valid count).
+        n, sh, sw = out.shape
+        counts = labels.valid.reshape(n, sh, rest, sw, rest).sum(axis=(2, 4))
+        per_block = np.where(valid, w / (ns * np.maximum(counts, 1)), 0.0)
+        weights = np.repeat(np.repeat(per_block, rest, axis=1), rest, axis=2)
+        weights = np.where(labels.valid, weights, 0.0)
+        # direct offset gradient from the smooth-L1 pull toward theta_opt
+        gx, gy = smooth_l1_grad(pred, theta_opt)
+        scale = np.where(valid, gamma / ns, 0.0)
+        return weights, OffsetField((gx * scale)[:, None], (gy * scale)[:, None])
+
+    return out, grad
 
 
 def reduce_loss(lm: LossMap) -> float:

@@ -20,14 +20,12 @@ import numpy as np
 from .core import _HEADER, ConfigError, LabelMap, Rng, ShapeError, as_tensor4, atomic_write
 from .losses import (
     LossMap,
-    _candidate_set,
-    _regression_parts,
+    build_candidate_set,
     cross_entropy_backward,
     cross_entropy_map,
-    guided_weight,
-    offset_guided_loss,
+    guided_terms,
     reduce_loss,
-    smooth_l1_grad,
+    regression_terms,
 )
 from .samplers import (
     OffsetField,
@@ -428,48 +426,13 @@ def _stack_labels(samples, idx, num_classes):
     return LabelMap(np.concatenate([samples[i].labels.labels for i in idx], axis=0), num_classes)
 
 
-def _guided_terms(u, k: int, rest: int, ce: LossMap, labels: LabelMap, lam: float):
-    """The offset-guided loss and the plain-bilinear CE it compares against.
+def _bilinear_ce(u, k: int, rest: int, labels: LabelMap) -> LossMap:
+    """CE of the plain-bilinear prediction the guided loss compares against.
 
-    The auxiliary prediction upsamples the same low-resolution logits with
-    plain bilinear over the whole factor; wherever the refined CE does not
-    beat its CE, offset_guided_loss weights the pixel by 1 + lambda.
-    Returns (guided loss map, auxiliary CE map).
+    It upsamples the same low-resolution logits with plain bilinear over
+    the whole factor, in the same two stages as the refined pipeline.
     """
-    aux = bilinear_upsample(u, k)
-    ce_aux = cross_entropy_map(bilinear_upsample(aux, rest), labels)
-    return offset_guided_loss(ce, ce_aux, lam), ce_aux
-
-
-def _regression_terms(cs, rest: int, labels: LabelMap, gamma: float, lam: float):
-    """The coordinate-regression loss of candidate set `cs` at the sampler's
-    output grid, and a thunk for what its gradient reads besides the logits.
-
-    The thunk returns (per-pixel CE weights at label resolution, smooth-L1
-    gradient on the offsets). It reuses the target and weight the loss
-    selected, so neither is computed twice.
-    """
-    out, theta_opt, lam_w = _regression_parts(cs, gamma, lam)
-    return out, lambda: _regression_grads(cs.coords[0], theta_opt, lam_w, out, rest, labels, gamma)
-
-
-def _regression_grads(pred, theta_opt, lam_w, out: LossMap, rest: int, labels: LabelMap,
-                      gamma: float):
-    """(CE weights, offset gradient) of loss map `out`, whose refined
-    coordinates `pred` are pulled toward `theta_opt` and whose refined CE is
-    weighted by `lam_w`."""
-    ns = int(out.valid.sum())
-    # CE gradient: each full-res pixel inherits its stage block's weight
-    # over (stage count * block valid count).
-    n, sh, sw = out.shape
-    counts = labels.valid.reshape(n, sh, rest, sw, rest).sum(axis=(2, 4))
-    per_block = np.where(out.valid, lam_w / (ns * np.maximum(counts, 1)), 0.0)
-    weights = np.repeat(np.repeat(per_block, rest, axis=1), rest, axis=2)
-    weights = np.where(labels.valid, weights, 0.0)
-    # direct offset gradient from the smooth-L1 pull toward theta_opt
-    gx, gy = smooth_l1_grad(pred, theta_opt)
-    scale = np.where(out.valid, gamma / ns, 0.0)
-    return weights, OffsetField((gx * scale)[:, None], (gy * scale)[:, None])
+    return cross_entropy_map(bilinear_upsample(bilinear_upsample(u, k), rest), labels)
 
 
 def _loss_forward(net: SegNet, cfg: TrainConfig, logits, cache, labels: LabelMap):
@@ -477,23 +440,20 @@ def _loss_forward(net: SegNet, cfg: TrainConfig, logits, cache, labels: LabelMap
 
     The thunk returns (per-pixel CE weights at label resolution, direct
     offset gradient or None), so a caller that wants only the value never
-    builds them.
+    builds them. reduce_loss rejects a batch with no valid pixels.
     """
     ce = cross_entropy_map(logits, labels)
-    nv = int(ce.valid.sum())
-    if nv == 0:
-        raise ValueError("batch contains no valid pixels")
     if cfg.loss_kind == "ce" or net.predictor is None:
-        return reduce_loss(ce), lambda: (np.where(ce.valid, 1.0 / nv, 0.0), None)
+        return reduce_loss(ce), lambda: (np.where(ce.valid, 1.0 / int(ce.valid.sum()), 0.0), None)
+    u, k, rest = cache["u"], net.lau_ratio, cache["rest"]
     if cfg.loss_kind == "off":
-        loss, ce_aux = _guided_terms(cache["u"], net.lau_ratio, cache["rest"], ce, labels, cfg.lam)
-        return reduce_loss(loss), lambda: (
-            np.where(ce.valid, guided_weight(ce, ce_aux, cfg.lam) / nv, 0.0), None)
+        loss, weights = guided_terms(ce, _bilinear_ce(u, k, rest, labels), cfg.lam)
+        return reduce_loss(loss), lambda: (weights(), None)
     if cfg.loss_kind == "reg":
         # candidate 0 is the network's own refined prediction: reuse its CE
-        cs = _candidate_set(cache["u"], cache["off"], net.lau_ratio, cache["rest"], labels, ce)
-        loss, grad_terms = _regression_terms(cs, cache["rest"], labels, cfg.gamma, cfg.lam)
-        return reduce_loss(loss), grad_terms
+        loss, grad = regression_terms(build_candidate_set(u, cache["off"], k, rest, labels, ce),
+                                      cfg.gamma, cfg.lam)
+        return reduce_loss(loss), lambda: grad(rest, labels)
     raise ConfigError("loss", f"unknown loss kind {cfg.loss_kind!r}")
 
 

@@ -77,11 +77,39 @@ tracer.install()
 try:
     off = lau.samplers.OffsetField.zeros(1, 1, 4, 4)
     labels = lau.core.LabelMap(np.zeros((1, 4, 4), dtype=int), 2)
-    lau.losses.build_candidate_set(np.zeros((1, 2, 2, 2)), off, 2, 1, labels)
+    refined = lau.losses.cross_entropy_map(np.zeros((1, 2, 4, 4)), labels)
+    lau.losses.build_candidate_set(np.zeros((1, 2, 2, 2)), off, 2, 1, labels, refined)
 finally:
     tracer.uninstall()
 for name in ("samplers.corner_source_coords", "samplers.lau_source_coords"):
     assert name in tracer.names, (name, sorted(set(tracer.names)))
+print("contract ok")
+"""
+
+# The reg loss step builds its candidate set through the public
+# build_candidate_set, so the benchmark's span of that name counts every
+# training step and FD evaluation, not only the gradcheck instance search.
+CANDIDATE_SPAN = """
+import runpy
+import numpy as np
+ns = runpy.run_path("perfbench/run.py")
+lau = ns["import_lau"]()
+cfg = lau.net.TrainConfig(
+    num_classes=3, in_channels=3, decoder_channels=6, reduced_channels=5, offset_groups=1,
+    slope=0.1, lau_ratio=2, total_upsample=4, upsampler="lau", loss_kind="reg", lam=0.3,
+    gamma=0.1, base_lr=0.001, power=0.9, momentum=0.9, weight_decay=1e-4, epochs=1, batch=1,
+    seed=0)
+net = lau.net.build_net(3, 3, 6, 5, 2, 4, 1, 0.1, lau.core.Rng(0), 1e-4)
+rng = np.random.default_rng(0)
+features = rng.normal(size=(1, 3, 4, 4))
+labels = lau.core.LabelMap(rng.integers(0, 3, (1, 16, 16)), 3)
+tracer = ns["Tracer"]()
+tracer.install()
+try:
+    lau.net.loss_and_grads(net, cfg, features, labels)[2]()
+finally:
+    tracer.uninstall()
+assert tracer.names.count("losses.build_candidate_set") == 1, sorted(set(tracer.names))
 print("contract ok")
 """
 
@@ -104,3 +132,7 @@ def test_benchmark_probes_accept_real_work(tmp_path):
 
 def test_tracer_wraps_the_geometry_entry_points():
     run_script(GEOMETRY_SPANS)
+
+
+def test_tracer_sees_the_loss_steps_candidate_set():
+    run_script(CANDIDATE_SPAN)

@@ -39,6 +39,9 @@ def run_cli(args, timeout=60, **env):
 
 # every float-typed config key, by its JSON name
 FLOAT_KEYS = ["lambda" if f.name == "lam" else f.name for f in fields(ExperimentConfig) if f.type == "float"]
+# every int- or float-typed config key, by its JSON name
+NUMBER_KEYS = ["lambda" if f.name == "lam" else f.name for f in fields(ExperimentConfig)
+               if f.type in ("int", "float")]
 
 
 def write_config(tmp_path, **overrides):
@@ -211,6 +214,17 @@ class TestTrainCommand:
         assert key in err and "finite" in err, err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("key", NUMBER_KEYS)
+    def test_boolean_names_the_key(self, tmp_path, capsys, key, value):
+        # JSON's true/false load as bool, an int subclass: {"epochs": true}
+        # would otherwise train one epoch and {"lambda": true} at lambda 1.0
+        cfg = write_config(tmp_path, **{key: value})
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "must be of type" in err, err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("key, value", [
         ("gamma", float("nan")), ("lr", float("-inf")), ("noise_std", 10**400),
     ], ids=["nan", "-inf", "int-beyond-float"])
@@ -267,6 +281,15 @@ class TestSweepCommand:
         assert "Traceback" not in proc.stderr, proc.stderr
         assert named in (out / "errors.txt").read_text()
         assert (out / "sweep.csv").read_text().strip().split("\n")[1].endswith(",,")
+
+    def test_bad_thread_count_names_the_variable(self, tmp_path):
+        cfg = write_config(tmp_path, epochs=1, train_count=4, val_count=2)
+        out = tmp_path / "sw"
+        proc = run_cli(["sweep", "--param", "lambda", "--values", "0.3", "--config", cfg,
+                        "--out", str(out)], LAU_THREADS="abc")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and "LAU_THREADS" in proc.stderr, proc.stderr
+        assert "Traceback" not in proc.stderr and not out.exists()
 
     def test_single_value_matches_train(self, tmp_path):
         cfg = write_config(tmp_path, epochs=1, train_count=4, val_count=2)

@@ -23,7 +23,7 @@ from lau.losses import (
     smooth_l1,
     smooth_l1_grad,
 )
-from lau.samplers import CORNERS, OffsetField, corner_upsample, lau_forward
+from lau.samplers import CORNERS, OffsetField, bilinear_upsample, corner_upsample, lau_forward
 
 
 def all_valid(values):
@@ -33,6 +33,11 @@ def all_valid(values):
 
 def coords(px, py):
     return CoordinateMap(np.asarray(px, dtype=np.float64), np.asarray(py, dtype=np.float64))
+
+
+def refined_ce(u, off, k, rest, labels):
+    """The refined prediction's CE at label resolution, as the loss step has it."""
+    return cross_entropy_map(bilinear_upsample(lau_forward(u, off, k), rest), labels)
 
 
 def random_candidate_set(rng, n=1, h=3, w=3):
@@ -198,7 +203,7 @@ class TestCandidateSet:
         off = OffsetField(rng.uniform(-1, 1, (n, 1, k * h, k * w)),
                           rng.uniform(-1, 1, (n, 1, k * h, k * w)))
         labels = LabelMap(rng.integers(0, c, (n, k * h, k * w)), c)
-        cs = build_candidate_set(u, off, k, 1, labels)
+        cs = build_candidate_set(u, off, k, 1, labels, refined_ce(u, off, k, 1, labels))
         ref0 = cross_entropy_map(lau_forward(u, off, k), labels)
         assert np.array_equal(cs.losses[0].values, ref0.values)
         for i, corner in enumerate(CORNERS):
@@ -209,7 +214,7 @@ class TestCandidateSet:
         off = OffsetField(np.full((1, 1, 2, 2), 0.25), np.full((1, 1, 2, 2), -0.5))
         u = np.zeros((1, 2, 1, 1))
         labels = LabelMap(np.zeros((1, 2, 2), int), 2)
-        cs = build_candidate_set(u, off, 2, 1, labels)
+        cs = build_candidate_set(u, off, 2, 1, labels, refined_ce(u, off, 2, 1, labels))
         assert cs.coords[0].px[0, 0, 1] == pytest.approx(0.5 + 0.25)
         assert cs.coords[0].py[0, 1, 0] == pytest.approx(0.5 - 0.5)
 
@@ -217,7 +222,7 @@ class TestCandidateSet:
         u = np.zeros((1, 2, 2, 2))
         off = OffsetField.zeros(1, 1, 4, 4)
         labels = LabelMap(np.zeros((1, 4, 4), int), 2)
-        cs = build_candidate_set(u, off, 2, 1, labels)
+        cs = build_candidate_set(u, off, 2, 1, labels, refined_ce(u, off, 2, 1, labels))
         # ceil of 3/2 = 2 clips to w-1 = 1
         assert cs.coords[2].px[0, 0, 3] == 1.0
         assert cs.coords[1].px[0, 0, 3] == 1.0  # floor(1.5) = 1
@@ -227,7 +232,7 @@ class TestCandidateSet:
         k = 3
         off = OffsetField.zeros(1, 1, 9, 9)
         labels = LabelMap(np.zeros((1, 9, 9), int), 2)
-        cs = build_candidate_set(u, off, k, 1, labels)
+        cs = build_candidate_set(u, off, k, 1, labels, refined_ce(u, off, k, 1, labels))
         for y in range(0, 9, k):
             for x in range(0, 9, k):
                 px = {cs.coords[i].px[0, y, x] for i in range(1, 5)}
@@ -241,7 +246,8 @@ class TestCandidateSet:
         block_labels = rng.integers(0, c, (h, w))
         labels_arr = np.repeat(np.repeat(block_labels, k, 0), k, 1)[None]
         labels = LabelMap(labels_arr, c)
-        cs = build_candidate_set(u, OffsetField.zeros(1, 1, k * h, k * w), k, 1, labels)
+        cs = build_candidate_set(u, OffsetField.zeros(1, 1, k * h, k * w), k, 1, labels,
+                                 refined_ce(u, OffsetField.zeros(1, 1, k * h, k * w), k, 1, labels))
         # with zero offsets at integer-aligned pixels every sampler reads the
         # same source pixel of a block-constant class map
         for y in range(0, k * h, k):
@@ -258,7 +264,7 @@ class TestCandidateSet:
         off = OffsetField(rng.uniform(-1, 1, (n, 1, k * h, k * w)),
                           rng.uniform(-1, 1, (n, 1, k * h, k * w)))
         labels = LabelMap(rng.integers(0, c, (n, rest * k * h, rest * k * w)), c)
-        cs = build_candidate_set(u, off, k, rest, labels)
+        cs = build_candidate_set(u, off, k, rest, labels, refined_ce(u, off, k, rest, labels))
         full = cross_entropy_map(bilinear_upsample(lau_forward(u, off, k), rest), labels)
         manual = full.values.reshape(n, k * h, rest, k * w, rest).mean(axis=(2, 4))
         assert np.allclose(cs.losses[0].values, manual, atol=1e-12)

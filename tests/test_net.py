@@ -1,13 +1,21 @@
 """Network tests: conv adjoints, offset branch, schedule, SGD, training loop."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lau.checks import _toy_config, conv_gradcheck
+from lau.checks import (
+    _toy_config,
+    conv_gradcheck,
+    guided_loss_gradcheck,
+    network_gradcheck,
+    regression_loss_gradcheck,
+)
 from lau.cli import ExperimentConfig
-from lau.core import ConfigError, LabelMap, Rng, ShapeError
+from lau.core import IGNORE, ConfigError, LabelMap, Rng, ShapeError
 from lau.net import (
     ConvLayer,
     OffsetPredictor,
@@ -362,6 +370,67 @@ class TestHotPath:
         seen = self.count_calls(monkeypatch, "select_theta_opt", "regression_weight")
         self.step("lau/reg")[2]()
         assert seen == {"select_theta_opt": 1, "regression_weight": 1}
+
+    def test_off_step_weighs_once(self, monkeypatch):
+        # the backward pass reuses the guided weight the loss computed
+        seen = self.count_calls(monkeypatch, "guided_weight")
+        self.step("lau/off")[2]()
+        assert seen == {"guided_weight": 1}
+
+    @pytest.mark.parametrize("name", sorted(STEPS))
+    def test_no_valid_pixels_raise_before_any_backward(self, name):
+        # reduce_loss owns the rule, so the step raises its error before
+        # it returns a backward thunk, and without a warning on the way
+        upsampler, loss = self.STEPS[name]
+        cfg = toy_config(upsampler=upsampler, loss_kind=loss)
+        x = np.random.default_rng(41).normal(size=(2, 3, 4, 4))
+        labels = LabelMap(np.full((2, 16, 16), IGNORE), 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="zero valid pixels"):
+                loss_and_grads(net_for(cfg), cfg, x, labels)
+
+
+def _skew_guided(real):
+    """guided_terms whose CE weights are off by a relative 1e-3."""
+    def skewed(*args):
+        out, weights = real(*args)
+        return out, lambda: weights() * (1 + 1e-3)
+    return skewed
+
+
+def _skew_regression(real):
+    """regression_terms whose CE weights are off by a relative 1e-3."""
+    def skewed(*args):
+        out, grad = real(*args)
+
+        def skewed_grad(rest, labels):
+            weights, direct = grad(rest, labels)
+            return weights * (1 + 1e-3), direct
+
+        return out, skewed_grad
+    return skewed
+
+
+class TestSuitesCheckTheLossStep:
+    @pytest.mark.parametrize("kind, name, skew, suite", [
+        ("off", "guided_terms", _skew_guided, guided_loss_gradcheck),
+        ("reg", "regression_terms", _skew_regression, regression_loss_gradcheck),
+    ], ids=["off", "reg"])
+    def test_skewed_ce_weights_fail_both_checks(self, monkeypatch, kind, name, skew, suite):
+        # the op suite and the network check build the loss with the same
+        # *_terms function the training step calls, so an error in its
+        # gradient terms cannot hide behind a private copy
+        import lau.checks
+        import lau.losses
+        import lau.net
+
+        skewed = skew(getattr(lau.losses, name))
+        for mod in (lau.losses, lau.net, lau.checks):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, skewed)
+        assert not suite(seed=0, cases=2).passed
+        assert not network_gradcheck(seed=0, loss_kind=kind).passed
 
 
 class TestGradcheckHarness:

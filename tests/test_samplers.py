@@ -226,18 +226,24 @@ class TestPixelShuffle:
         u = rng.normal(size=(1, 9, 2, 2))
         assert np.array_equal(pixel_shuffle(u, 3), oracle_pixel_shuffle(u, 3))
 
-    def test_round_trips(self):
-        rng = np.random.default_rng(9)
-        u = rng.normal(size=(2, 8, 3, 2))
-        assert np.array_equal(pixel_unshuffle(pixel_shuffle(u, 2), 2), u)
-        v = rng.normal(size=(2, 2, 6, 4))
-        assert np.array_equal(pixel_shuffle(pixel_unshuffle(v, 2), 2), v)
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.integers(1, 4),
+           st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_round_trips(self, n, groups, h, w, k, seed):
+        rng = np.random.default_rng(seed)
+        u = rng.normal(size=(n, groups * k * k, h, w))
+        assert np.array_equal(pixel_unshuffle(pixel_shuffle(u, k), k), u)
+        v = rng.normal(size=(n, groups, k * h, k * w))
+        assert np.array_equal(pixel_shuffle(pixel_unshuffle(v, k), k), v)
 
-    def test_unshuffle_is_adjoint(self):
-        rng = np.random.default_rng(10)
-        u = rng.normal(size=(2, 8, 3, 2))
-        v = rng.normal(size=(2, 2, 6, 4))
-        assert_adjoint(u, pixel_shuffle(u, 2), v, pixel_unshuffle(v, 2))
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.integers(1, 4),
+           st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_unshuffle_is_adjoint(self, n, groups, h, w, k, seed):
+        rng = np.random.default_rng(seed)
+        u = rng.normal(size=(n, groups * k * k, h, w))
+        v = rng.normal(size=(n, groups, k * h, k * w))
+        assert_adjoint(u, pixel_shuffle(u, k), v, pixel_unshuffle(v, k))
 
     def test_rejects_indivisible_channels(self):
         with pytest.raises(ShapeError):
