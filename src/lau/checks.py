@@ -46,11 +46,11 @@ from .net import (
     TrainConfig,
     _bilinear_ce,
     _params,
-    build_net,
     conv2d_backward,
     conv2d_forward,
     gradcheck,
     loss_and_grads,
+    net_for,
     network_forward,
 )
 from .samplers import OffsetField, lau_backward, lau_forward, lau_source_coords
@@ -317,11 +317,7 @@ def _network_instance(seed: int, loss_kind: str):
     cfg = _toy_config(loss_kind, seed)
     for attempt in range(200):
         rng = _np_rng(seed * 1000 + attempt)
-        net = build_net(
-            cfg.in_channels, cfg.num_classes, cfg.decoder_channels, cfg.reduced_channels,
-            cfg.lau_ratio, cfg.total_upsample, cfg.offset_groups, cfg.slope,
-            Rng(seed * 1000 + attempt), cfg.weight_decay,
-        )
+        net = net_for(cfg, Rng(seed * 1000 + attempt))
         # randomize the zero-initialized expand layer: gradcheck needs live,
         # generic offsets rather than the degenerate starting state
         net.predictor.expand.weights[...] = rng.normal(scale=0.5, size=net.predictor.expand.weights.shape)

@@ -49,9 +49,9 @@ PALETTE = np.array(
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """JSON-configurable experiment description; unknown keys are an error."""
+    """JSON-configurable experiment description, checked when built; unknown keys are an error."""
 
     seed: int = 0
     classes: int = 4
@@ -75,21 +75,19 @@ class ExperimentConfig:
     train_count: int = 256
     val_count: int = 64
 
+    def __post_init__(self):
+        self.validate()
+
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
         known = {f.name for f in fields(cls)} - {"lam"} | {"lambda"}
         for key in obj:
             if key not in known:
                 raise ConfigError(key, "unknown configuration key")
-        kwargs = {("lam" if k == "lambda" else k): v for k, v in obj.items()}
-        cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
+        return cls(**{("lam" if k == "lambda" else k): v for k, v in obj.items()})
 
     def validate(self) -> None:
-        """Check every field's type, that every float is finite, and the fields
-        only this config has, then hand every training rule to
-        TrainConfig.validate."""
+        """Field types, finite floats, training rules (by building a TrainConfig), then the rest."""
         types = {"int": int, "float": (int, float), "str": str}
         for f in fields(self):
             key = "lambda" if f.name == "lam" else f.name
@@ -98,11 +96,11 @@ class ExperimentConfig:
             if isinstance(value, bool) or not isinstance(value, types[f.type]):
                 raise ConfigError(key, f"must be of type {f.type}")
             # JSON's Infinity and NaN parse as floats and compare their way
-            # past every range rule below; an integer beyond float range
-            # would overflow on first use
-            if f.type == "float" and not _finite(value):
+            # past every range rule below, and an integer beyond float range
+            # would overflow on first use; the exact int/float compare rejects all three
+            if f.type == "float" and not abs(value) <= sys.float_info.max:
                 raise ConfigError(key, "must be a finite number")
-        self.to_train_config().validate()
+        self.to_train_config()
         for name, ok, message in (
             ("image_size", self.image_size >= self.output_stride
              and self.image_size % self.output_stride == 0,
@@ -144,19 +142,24 @@ class ExperimentConfig:
         return train_set, val_set
 
 
-def _finite(x) -> bool:
-    try:
-        return math.isfinite(x)
-    except OverflowError:  # an int too large for a float
-        return False
-
-
-def load_config(path) -> ExperimentConfig:
+def _read_json(path) -> dict:
+    """The config file's top-level JSON object."""
     with open(path) as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):
         raise ConfigError("config", "top-level JSON value must be an object")
-    return ExperimentConfig.from_json(obj)
+    return obj
+
+
+def _parse_list(flag: str, text: str, kind) -> list:
+    """The non-empty entries of a comma-separated flag value, each read by kind."""
+    out = []
+    for entry in filter(None, text.split(",")):
+        try:
+            out.append(kind(entry))
+        except ValueError:
+            raise ConfigError(flag, f"{entry!r} is not a valid {kind.__name__}") from None
+    return out
 
 
 def write_ppm(path, labels: np.ndarray) -> None:
@@ -221,7 +224,7 @@ def cmd_demo(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config)
+    cfg = ExperimentConfig.from_json(_read_json(args.config))
     os.makedirs(args.out, exist_ok=True)
     train_set, val_set = cfg.datasets()
     result = train(cfg.to_train_config(), train_set, val_set)
@@ -266,16 +269,13 @@ def _sweep_point(task):
 
 
 def cmd_sweep(args) -> int:
-    with open(args.config) as fh:
-        base_json = json.load(fh)
-    if not isinstance(base_json, dict):
-        raise ConfigError("config", "top-level JSON value must be an object")
+    base_json = _read_json(args.config)
     ExperimentConfig.from_json(base_json)  # fail fast on a broken base config
-    values = [float(v) for v in args.values.split(",") if v != ""]
+    values = _parse_list("values", args.values, float)
     if not values:
         raise ConfigError("values", "need at least one value")
     if args.seeds:
-        seeds = [int(s) for s in args.seeds.split(",") if s != ""]
+        seeds = _parse_list("seeds", args.seeds, int)
     else:
         seeds = [int(base_json.get("seed", 0))]
     tasks = [(base_json, args.param, v, s) for v in values for s in seeds]
@@ -305,11 +305,14 @@ def cmd_sweep(args) -> int:
             else:
                 fh.write(f"{param},{value:g},{seed},,\n")
                 errors.append(f"{param}={value:g} seed={seed}: {err}")
+    errors_path = os.path.join(args.out, "errors.txt")
     if errors:
-        with open(os.path.join(args.out, "errors.txt"), "w") as fh:
+        with atomic_write(errors_path) as fh:
             fh.write("\n".join(errors) + "\n")
-        for e in errors:
-            print(f"failed: {e}", file=sys.stderr)
+    elif os.path.exists(errors_path):  # left by an earlier sweep into this directory
+        os.remove(errors_path)
+    for e in errors:
+        print(f"failed: {e}", file=sys.stderr)
     print(f"sweep written to {path} ({len(results)} rows, {len(errors)} failed)")
     return 0 if not errors else 1
 

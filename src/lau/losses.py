@@ -29,7 +29,6 @@ from .samplers import (
     bilinear_upsample,
     corner_source_coords,
     corner_upsample,
-    lau_forward,
     lau_source_coords,
 )
 
@@ -136,15 +135,13 @@ class CandidateSet:
         return np.stack([lm.values for lm in self.losses])
 
 
-def cross_entropy_map(logits: np.ndarray, labels: LabelMap) -> LossMap:
-    """-log softmax probability of the true class, per valid pixel.
+def _true_class(logits: np.ndarray, labels: LabelMap):
+    """Check labels against (n, c, h, w) logits; return (valid mask, true-class flat index).
 
-    Computed with max subtraction so large logits stay finite. The true
-    class's shifted logit is read by flat index into the (n, c, h, w)
-    layout, (sample * c + label) * h * w + pixel, which picks the elements
-    np.take_along_axis would, at a fraction of its per-call cost.
+    The index is (sample * c + label) * h * w + pixel, with class 0 where
+    ignored; indexing the raveled logits with it is far cheaper than numpy's
+    along-axis helpers.
     """
-    logits = as_tensor4(logits)
     n, c, h, w = logits.shape
     if c != labels.num_classes:
         raise ShapeError(f"logit channels {c} != num_classes {labels.num_classes}")
@@ -152,11 +149,19 @@ def cross_entropy_map(logits: np.ndarray, labels: LabelMap) -> LossMap:
         raise ShapeError(
             f"logit spatial dims {(n, h, w)} != labels {(labels.n, labels.h, labels.w)}"
         )
-    z = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))
     valid = labels.valid
     safe = np.where(valid, labels.labels, 0)
     flat = (np.arange(n).reshape(n, 1, 1) * c + safe) * (h * w) + np.arange(h * w).reshape(1, h, w)
+    return valid, flat
+
+
+def cross_entropy_map(logits: np.ndarray, labels: LabelMap) -> LossMap:
+    """-log softmax probability of the true class per valid pixel, max-shifted to stay finite."""
+    logits = as_tensor4(logits)
+    z = logits - logits.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=1))
+    # checked and indexed once the exp temporaries are freed: done first, peak RSS rose 2-5 MB
+    valid, flat = _true_class(logits, labels)
     picked = z.ravel()[flat]
     values = np.where(valid, lse - picked, 0.0)
     # Guard against tiny negative round-off on saturated pixels.
@@ -175,10 +180,9 @@ def cross_entropy_backward(
     z = logits - logits.max(axis=1, keepdims=True)
     ez = np.exp(z)
     softmax = ez / ez.sum(axis=1, keepdims=True)
-    valid = labels.valid
-    safe = np.where(valid, labels.labels, 0)
+    valid, flat = _true_class(logits, labels)
     onehot = np.zeros_like(logits)
-    np.put_along_axis(onehot, safe[:, None], 1.0, axis=1)
+    onehot.ravel()[flat] = 1.0
     wmap = np.where(valid, weights, 0.0)[:, None]
     return (softmax - onehot) * wmap
 

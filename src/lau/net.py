@@ -55,6 +55,7 @@ __all__ = [
     "leaky_relu_backward",
     "load_checkpoint",
     "loss_and_grads",
+    "net_for",
     "network_forward",
     "offset_predictor_forward",
     "poly_lr",
@@ -281,6 +282,13 @@ def build_net(
     return SegNet(conv1, conv2, head, pred, lau_ratio, total_ratio, slope)
 
 
+def net_for(cfg: TrainConfig, rng: Rng) -> SegNet:
+    """The network cfg describes, with its parameters drawn from rng."""
+    return build_net(cfg.in_channels, cfg.num_classes, cfg.decoder_channels, cfg.reduced_channels,
+                     cfg.lau_ratio, cfg.total_upsample, cfg.offset_groups, cfg.slope, rng,
+                     cfg.weight_decay, with_predictor=cfg.upsampler == "lau")
+
+
 def decoder_forward(net: SegNet, x: np.ndarray):
     """Two 3x3 conv + leaky ReLU stages, then the 1x1 logits head.
 
@@ -352,9 +360,9 @@ def sgd_step(params, grads, velocities, lr: float, momentum: float, decays) -> N
         w -= lr * v
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Everything one training run needs, resolved and validated."""
+    """Everything one training run needs; checked when built, then immutable."""
 
     num_classes: int
     in_channels: int
@@ -375,6 +383,9 @@ class TrainConfig:
     epochs: int
     batch: int
     seed: int
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         """Raise ConfigError at the first broken rule, named by its JSON config key."""
@@ -449,12 +460,10 @@ def _loss_forward(net: SegNet, cfg: TrainConfig, logits, cache, labels: LabelMap
     if cfg.loss_kind == "off":
         loss, weights = guided_terms(ce, _bilinear_ce(u, k, rest, labels), cfg.lam)
         return reduce_loss(loss), lambda: (weights(), None)
-    if cfg.loss_kind == "reg":
-        # candidate 0 is the network's own refined prediction: reuse its CE
-        loss, grad = regression_terms(build_candidate_set(u, cache["off"], k, rest, labels, ce),
-                                      cfg.gamma, cfg.lam)
-        return reduce_loss(loss), lambda: grad(rest, labels)
-    raise ConfigError("loss", f"unknown loss kind {cfg.loss_kind!r}")
+    # "reg": candidate 0 is the network's own refined prediction, so reuse its CE
+    loss, grad = regression_terms(build_candidate_set(u, cache["off"], k, rest, labels, ce),
+                                  cfg.gamma, cfg.lam)
+    return reduce_loss(loss), lambda: grad(rest, labels)
 
 
 def _params(net: SegNet) -> list:
@@ -514,23 +523,10 @@ def evaluate(net: SegNet, cfg: TrainConfig, samples) -> dict:
 
 def train(cfg: TrainConfig, train_samples, val_samples) -> TrainResult:
     """Run the configured training loop; deterministic given cfg.seed."""
-    cfg.validate()
     if not train_samples:
         raise ConfigError("train_count", "empty training set")
     rng = Rng(cfg.seed)
-    net = build_net(
-        cfg.in_channels,
-        cfg.num_classes,
-        cfg.decoder_channels,
-        cfg.reduced_channels,
-        cfg.lau_ratio,
-        cfg.total_upsample,
-        cfg.offset_groups,
-        cfg.slope,
-        rng,
-        cfg.weight_decay,
-        with_predictor=(cfg.upsampler == "lau"),
-    )
+    net = net_for(cfg, rng)
     params = _params(net)
     decays = [layer.weight_decay for _, layer in net.named_layers() for _ in (0, 1)]
     velocities = [np.zeros_like(p) for p in params]
@@ -610,9 +606,9 @@ def gradcheck(fn, points, h: float = 1e-6, tolerance: float = 1e-5) -> Gradcheck
 # ---------------------------------------------------------------------------
 # checkpoints: one text manifest line, then weight+bias dumps per layer
 
-def _manifest(net: SegNet) -> str:
-    return " ".join(f"{name}:{','.join(map(str, layer.weights.shape))}"
-                    for name, layer in net.named_layers())
+def _manifest(net: SegNet) -> bytes:
+    return (" ".join(f"{name}:{','.join(map(str, layer.weights.shape))}"
+                     for name, layer in net.named_layers()) + "\n").encode("ascii")
 
 
 def _checkpoint_entries(net: SegNet):
@@ -623,7 +619,7 @@ def _checkpoint_entries(net: SegNet):
 
 def save_checkpoint(path, net: SegNet) -> None:
     with atomic_write(path, "wb") as fh:
-        fh.write((_manifest(net) + "\n").encode("ascii"))
+        fh.write(_manifest(net))
         for arr, dims in _checkpoint_entries(net):
             fh.write(_HEADER.pack(*dims))
             fh.write(arr.astype("<f8").tobytes())
@@ -631,9 +627,10 @@ def save_checkpoint(path, net: SegNet) -> None:
 
 def load_checkpoint(path, net: SegNet) -> None:
     with open(path, "rb") as fh:
-        manifest = fh.readline().decode("ascii").strip()
-        if manifest != _manifest(net):
-            raise IOError(f"checkpoint manifest {manifest!r} does not match this network")
+        line = _manifest(net)
+        head = fh.readline(len(line))  # bounded: a hostile file may hold no newline
+        if head != line:
+            raise IOError(f"checkpoint manifest {head[:24]!r} does not match this network")
         for arr, want in _checkpoint_entries(net):
             raw = fh.read(_HEADER.size)
             dims = _HEADER.unpack(raw) if len(raw) == _HEADER.size else None

@@ -180,6 +180,17 @@ def take_along_axis_cross_entropy(logits, labels):
     return np.maximum(np.where(labels.valid, lse - picked, 0.0), 0.0)
 
 
+def put_along_axis_cross_entropy_backward(logits, labels, weights):
+    """Weighted CE gradient with the true-class one-hot set by np.put_along_axis."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    ez = np.exp(z)
+    softmax = ez / ez.sum(axis=1, keepdims=True)
+    safe = np.where(labels.valid, labels.labels, 0)
+    onehot = np.zeros_like(logits)
+    np.put_along_axis(onehot, safe[:, None], 1.0, axis=1)
+    return (softmax - onehot) * np.where(labels.valid, weights, 0.0)[:, None]
+
+
 def einsum_conv2d_forward(layer, x):
     """Per-tap einsum cross-correlation (zero padding (kernel - 1) // 2)."""
     n, cin, h, w = x.shape

@@ -4,7 +4,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -57,6 +57,18 @@ class TestConfig:
         cfg = ExperimentConfig()
         cfg.validate()
         assert cfg.lau_ratio == 4 and cfg.output_stride == 8 and cfg.lam == 0.3
+
+    def test_config_cannot_change(self):
+        cfg = ExperimentConfig()
+        for f in fields(cfg):
+            with pytest.raises(FrozenInstanceError):
+                setattr(cfg, f.name, getattr(cfg, f.name))
+
+    def test_construction_is_checked(self):
+        # no from_json and no validate() call: building the config runs the rules
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(lau_ratio=3)
+        assert exc.value.field_name == "lau_ratio"
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError) as exc:
@@ -290,6 +302,31 @@ class TestSweepCommand:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:") and "LAU_THREADS" in proc.stderr, proc.stderr
         assert "Traceback" not in proc.stderr and not out.exists()
+
+    def test_clean_sweep_removes_stale_errors(self, tmp_path):
+        cfg = write_config(tmp_path, epochs=1, train_count=4, val_count=2)
+        out = tmp_path / "sw"
+        args = ["sweep", "--param", "ratio", "--config", cfg, "--out", str(out)]
+        first = run_cli(args + ["--values", "2,3"])
+        assert first.returncode == 1 and "ratio=3" in (out / "errors.txt").read_text()
+        second = run_cli(args + ["--values", "2"])
+        assert second.returncode == 0 and "0 failed" in second.stdout
+        assert not (out / "errors.txt").exists()
+        assert sorted(p.name for p in out.iterdir()) == ["sweep.csv"]
+
+    @pytest.mark.parametrize("flag, text, entry", [
+        ("--values", "0.1,abc", "'abc'"),
+        ("--seeds", "1,x", "'x'"),
+        ("--seeds", "1,2.5", "'2.5'"),
+    ])
+    def test_bad_list_entry_names_its_flag(self, tmp_path, capsys, flag, text, entry):
+        cfg = write_config(tmp_path, epochs=1, train_count=4, val_count=2)
+        args = ["sweep", "--param", "lambda", "--values", "0.3", "--config", cfg,
+                "--out", str(tmp_path / "sw"), flag, text]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"{flag[2:]}: {entry}" in err, err
+        assert not (tmp_path / "sw").exists()
 
     def test_single_value_matches_train(self, tmp_path):
         cfg = write_config(tmp_path, epochs=1, train_count=4, val_count=2)

@@ -48,7 +48,12 @@ def random_candidate_set(rng, n=1, h=3, w=3):
     return CandidateSet(losses, cs_coords)
 
 
-from _oracles import oracle_guided, oracle_regression, take_along_axis_cross_entropy
+from _oracles import (
+    oracle_guided,
+    oracle_regression,
+    put_along_axis_cross_entropy_backward,
+    take_along_axis_cross_entropy,
+)
 
 
 class TestCrossEntropy:
@@ -101,6 +106,32 @@ class TestCrossEntropy:
         lm = cross_entropy_map(logits, labels)
         assert np.array_equal(lm.values, take_along_axis_cross_entropy(logits, labels))
         assert np.array_equal(lm.valid, labels.valid)
+
+    @pytest.mark.parametrize("logits_shape, label_shape, num_classes", [
+        ((1, 3, 4, 4), (2, 4, 4), 3),  # batch mismatch, which broadcasting hid
+        ((1, 3, 4, 4), (1, 2, 2), 3),  # spatial mismatch
+        ((1, 3, 4, 4), (1, 4, 4), 4),  # more classes than logit channels
+    ])
+    def test_label_mismatch_raises_in_both_halves(self, logits_shape, label_shape, num_classes):
+        logits = np.zeros(logits_shape)
+        labels = LabelMap(np.zeros(label_shape, int), num_classes)
+        with pytest.raises(ShapeError):
+            cross_entropy_map(logits, labels)
+        with pytest.raises(ShapeError):
+            cross_entropy_backward(logits, labels, np.ones(label_shape))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.integers(2, 5), st.integers(1, 6), st.integers(1, 6),
+           st.integers(0, 2**32 - 1))
+    def test_backward_bytes_match_put_along_axis_reference(self, n, c, h, w, seed):
+        # the flat-index one-hot sets the same true-class entries, ignored
+        # pixels included
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(scale=10.0, size=(n, c, h, w))
+        labels = LabelMap(rng.integers(-1, c, size=(n, h, w)), c)
+        weights = rng.uniform(0.5, 2.0, (n, h, w))
+        assert np.array_equal(cross_entropy_backward(logits, labels, weights),
+                              put_along_axis_cross_entropy_backward(logits, labels, weights))
 
     def test_backward_matches_fd(self):
         rng = np.random.default_rng(1)

@@ -1,5 +1,8 @@
 """Network tests: conv adjoints, offset branch, schedule, SGD, training loop."""
 
+import dataclasses
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lau.net
 from lau.checks import (
     _toy_config,
     conv_gradcheck,
@@ -56,10 +60,7 @@ def toy_config(**overrides):
 
 
 def net_for(cfg):
-    return build_net(cfg.in_channels, cfg.num_classes, cfg.decoder_channels,
-                     cfg.reduced_channels, cfg.lau_ratio, cfg.total_upsample,
-                     cfg.offset_groups, cfg.slope, Rng(cfg.seed), cfg.weight_decay,
-                     with_predictor=cfg.upsampler == "lau")
+    return lau.net.net_for(cfg, Rng(cfg.seed))
 
 
 # (train config, side of the conv input) for every configuration the
@@ -345,11 +346,14 @@ class TestHotPath:
     def count_calls(self, monkeypatch, *names):
         """Count calls to each named function made through lau.net or lau.losses."""
         import lau.losses
-        import lau.net
 
         seen = dict.fromkeys(names, 0)
         for name in names:
-            def counting(*args, _name=name, _real=getattr(lau.losses, name)):
+            # the real function, from the module that defines it
+            bound = next(getattr(mod, name) for mod in (lau.net, lau.losses) if hasattr(mod, name))
+            real = getattr(sys.modules[bound.__module__], name)
+
+            def counting(*args, _name=name, _real=real):
                 seen[_name] += 1
                 return _real(*args)
 
@@ -639,17 +643,21 @@ class TestTraining:
         assert len(metrics) == 2
 
     def test_invalid_ratio_rejected_before_training(self):
-        cfg = toy_config(lau_ratio=3)
         tr, va = self.make_data(toy_config())
         with pytest.raises(ConfigError) as exc:
-            train(cfg, tr, va)
+            train(toy_config(lau_ratio=3), tr, va)
         assert "lau_ratio" in str(exc.value)
 
     def test_negative_lambda_rejected(self):
-        cfg = toy_config(lam=-0.1)
         tr, va = self.make_data(toy_config())
         with pytest.raises(ConfigError):
-            train(cfg, tr, va)
+            train(toy_config(lam=-0.1), tr, va)
+
+    def test_config_cannot_change(self):
+        cfg = toy_config()
+        for f in dataclasses.fields(cfg):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, f.name, getattr(cfg, f.name))
 
     @pytest.mark.parametrize("patch,key", [
         ({"offset_groups": 2}, "m_channels"),
@@ -687,6 +695,28 @@ class TestCheckpoint:
         smaller = build_net(3, 4, 5, 4, 2, 4, 1, 0.01, Rng(13), 1e-4)
         with pytest.raises(IOError):
             load_checkpoint(path, smaller)
+
+    @pytest.mark.parametrize("hostile", ["no_newline_50mb", "non_ascii"])
+    def test_hostile_manifest_fails_cleanly(self, tmp_path, hostile):
+        # the manifest read is bounded, so neither file is read whole or
+        # quoted whole, and a non-ASCII byte is an IOError like any mismatch
+        net = build_net(3, 4, 6, 4, 2, 4, 1, 0.01, Rng(18), 1e-4)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, net)
+        if hostile == "non_ascii":
+            path.write_bytes(b"\xff" + path.read_bytes()[1:])
+        else:
+            with open(path, "wb") as fh:
+                fh.truncate(50 << 20)  # 50 MB of NUL bytes, no newline
+        tracemalloc.start()
+        try:
+            with pytest.raises(IOError) as exc:
+                load_checkpoint(path, net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "manifest" in str(exc.value) and len(str(exc.value)) < 200
+        assert peak < 1 << 20
 
     def test_trailing_bytes_rejected(self, tmp_path):
         net = build_net(3, 4, 6, 4, 2, 4, 1, 0.01, Rng(15), 1e-4)
