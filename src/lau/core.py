@@ -30,6 +30,16 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 
+# SplitMix64's increment and output mix, as Python ints for the scalar step and
+# as np.uint64 for array draws. Every operand of a uint64 array operation is a
+# np.uint64: mixed with a Python int or an int64, older numpy promotes to
+# float64 and drops bits.
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_U64_GAMMA, _U64_MIX1, _U64_MIX2 = (np.uint64(v) for v in (_GAMMA, _MIX1, _MIX2))
+_U64_SHIFT = {bits: np.uint64(bits) for bits in (11, 27, 30, 31)}
+
 # Label of pixels that carry no supervision.
 IGNORE = -1
 
@@ -97,18 +107,20 @@ class Rng:
     """SplitMix64 stream with uniform and Box-Muller Gaussian draws.
 
     Pure 64-bit integer arithmetic, so sequences are bit-identical across
-    platforms for a given seed. Single-owner: not safe to share between
-    concurrent tasks.
+    platforms for a given seed. The state is a Weyl sequence, seed + i*gamma
+    mod 2^64, so `uniforms` and `normals` compute a whole array of draws at
+    once; they equal the same number of scalar draws byte for byte and leave
+    the same state. Single-owner: not safe to share between concurrent tasks.
     """
 
     def __init__(self, seed: int):
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (self.state + _GAMMA) & _MASK64
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def uniform(self) -> float:
@@ -123,16 +135,32 @@ class Rng:
         return mean + std * (r * math.cos(2.0 * math.pi * u2))
 
     def uniforms(self, shape) -> np.ndarray:
-        out = np.empty(int(np.prod(shape)), dtype=np.float64)
-        for i in range(out.size):
-            out[i] = self.uniform()
-        return out.reshape(shape)
+        """`uniform()` drawn prod(shape) times, in C order, as one array."""
+        count = _size(shape)
+        # uint64 array arithmetic wraps mod 2^64, as the scalar step's mask does
+        z = np.uint64(self.state) + np.arange(1, count + 1, dtype=np.uint64) * _U64_GAMMA
+        self.state = (self.state + count * _GAMMA) & _MASK64
+        z ^= z >> _U64_SHIFT[30]
+        z *= _U64_MIX1
+        z ^= z >> _U64_SHIFT[27]
+        z *= _U64_MIX2
+        z ^= z >> _U64_SHIFT[31]
+        return ((z >> _U64_SHIFT[11]).astype(np.float64) * 2.0**-53).reshape(shape)
 
     def normals(self, shape, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
-        out = np.empty(int(np.prod(shape)), dtype=np.float64)
-        for i in range(out.size):
-            out[i] = self.normal(mean, std)
-        return out.reshape(shape)
+        """`normal(mean, std)` drawn prod(shape) times, in C order, as one array.
+
+        log1p and cos are the C library's, called per element as the scalar
+        draw calls them (numpy's own can differ in the last bit); the other
+        steps are correctly rounded, so they run as array operations in the
+        scalar expression's order.
+        """
+        count = _size(shape)
+        u = self.uniforms((count, 2))
+        log = np.fromiter(map(math.log1p, (-u[:, 0]).tolist()), np.float64, count)
+        cos = np.fromiter(map(math.cos, (2.0 * math.pi * u[:, 1]).tolist()), np.float64, count)
+        r = np.sqrt(-2.0 * log)
+        return (mean + std * (r * cos)).reshape(shape)
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi); rejection-free via 53-bit floats."""
@@ -145,6 +173,14 @@ class Rng:
         for i in range(len(items) - 1, 0, -1):
             j = self.randint(0, i + 1)
             items[i], items[j] = items[j], items[i]
+
+
+def _size(shape) -> int:
+    """Element count of shape; a negative dimension is a ValueError, as in np.empty."""
+    dims = [int(d) for d in (shape if np.iterable(shape) else (shape,))]
+    if any(d < 0 for d in dims):
+        raise ValueError(f"negative dimensions are not allowed, got shape {shape}")
+    return math.prod(dims)
 
 
 def mix_seed(seed: int, index: int) -> int:

@@ -173,14 +173,17 @@ def cross_entropy_backward(
 ) -> np.ndarray:
     """Gradient of sum_i weights_i * CE_i w.r.t. the logits.
 
-    weights is (n, h, w); invalid pixels contribute nothing regardless of
-    their weight entry.
+    weights is (n, h, w), the labels' shape (anything else, even if it would
+    broadcast, is a ShapeError); invalid pixels contribute nothing regardless
+    of their weight entry.
     """
     logits = as_tensor4(logits)
     z = logits - logits.max(axis=1, keepdims=True)
     ez = np.exp(z)
     softmax = ez / ez.sum(axis=1, keepdims=True)
     valid, flat = _true_class(logits, labels)
+    if np.shape(weights) != valid.shape:
+        raise ShapeError(f"weights shape {np.shape(weights)} != labels {valid.shape}")
     onehot = np.zeros_like(logits)
     onehot.ravel()[flat] = 1.0
     wmap = np.where(valid, weights, 0.0)[:, None]

@@ -13,6 +13,7 @@ never need to be stored to be reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,7 @@ def _draw_labels(rng: Rng, height: int, width: int, num_classes: int) -> np.ndar
     # balanced, which a from-scratch net needs to learn every class within
     # the default iteration budget.
     labels = np.zeros((height, width), dtype=np.int64)
-    yy, xx = np.mgrid[0:height, 0:width]
+    yy, xx = np.ogrid[0:height, 0:width]
     for _ in range(rng.randint(2, 6)):
         cls = rng.randint(0, num_classes)
         if rng.uniform() < 0.5:
@@ -75,8 +76,9 @@ def gen_sample(seed: int, index: int, height: int, width: int, num_classes: int,
     """Sample `index` of the dataset keyed by `seed`; order-independent.
 
     Raises ValueError naming the argument when num_classes < 2, stride < 1,
-    or height or width is not a positive multiple of stride, and when no
-    label map with two classes turns up in MAX_REDRAWS draws.
+    height or width is not a positive multiple of stride, or noise_std is
+    not finite and >= 0, and when no label map with two classes turns up in
+    MAX_REDRAWS draws.
     """
     if num_classes < 2:
         raise ValueError(f"num_classes must be >= 2, got {num_classes}")
@@ -85,10 +87,12 @@ def gen_sample(seed: int, index: int, height: int, width: int, num_classes: int,
     for name, size in (("height", height), ("width", width)):
         if size < stride or size % stride:
             raise ValueError(f"{name} must be a positive multiple of stride {stride}, got {size}")
+    if not (math.isfinite(noise_std) and noise_std >= 0):
+        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
     rng = Rng(mix_seed(seed, index))
     for _ in range(MAX_REDRAWS):
         labels = _draw_labels(rng, height, width, num_classes)
-        if len(np.unique(labels)) >= 2:
+        if (labels != labels.flat[0]).any():
             break
     else:
         raise ValueError(f"no {height}x{width} label map with two classes in {MAX_REDRAWS} draws")

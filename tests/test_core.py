@@ -68,10 +68,84 @@ class TestRng:
         rng = Rng(11)
         assert np.isfinite(rng.normals((5000,))).all()
 
+    def test_uniforms_match_published_stream(self):
+        # the first five published SplitMix64 outputs for seed 0, each shifted
+        # right 11 and scaled by 2^-53; integer arithmetic only, so this holds
+        # on any IEEE-754 platform
+        published = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F,
+                     0xF88BB8A8724C81EC, 0x1B39896A51A8749B]
+        want = [7956156453446585, 3886858653415212, 238094247788840,
+                8744927430068624, 957885841028366]
+        assert [z >> 11 for z in published] == want
+        assert Rng(0).uniforms((5,)).tolist() == [m * 2.0**-53 for m in want]
+
     def test_mix_seed_order_free(self):
         assert mix_seed(4, 10) == mix_seed(4, 10)
         assert mix_seed(4, 10) != mix_seed(4, 11)
         assert mix_seed(5, 10) != mix_seed(4, 10)
+
+
+SEEDS = (0, 1, 2**63, 2**64 - 1)
+SHAPES = ((1,), (7,), (4, 8, 8), (64, 64, 3, 3))
+
+
+class TestArrayDraws:
+    """Array draws are the scalar stream, byte for byte, state included."""
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_uniforms_equal_scalar_loop(self, seed, shape):
+        bulk, scalar = Rng(seed), Rng(seed)
+        got = bulk.uniforms(shape)
+        want = np.array([scalar.uniform() for _ in range(int(np.prod(shape)))]).reshape(shape)
+        assert got.dtype == np.float64 and got.shape == shape
+        assert np.array_equal(got, want)
+        assert bulk.state == scalar.state
+
+    @pytest.mark.parametrize("mean, std", [(0.0, 1.0), (0.0, 0.25), (1.5, 2.0)])
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_normals_equal_scalar_loop(self, seed, shape, mean, std):
+        bulk, scalar = Rng(seed), Rng(seed)
+        got = bulk.normals(shape, mean, std)
+        want = np.array(
+            [scalar.normal(mean, std) for _ in range(int(np.prod(shape)))]
+        ).reshape(shape)
+        assert got.dtype == np.float64 and got.shape == shape
+        assert np.array_equal(got, want)
+        assert bulk.state == scalar.state
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_interleaved_with_scalar_draws(self, seed):
+        bulk, scalar = Rng(seed), Rng(seed)
+        got = [bulk.next_u64(), bulk.uniform(), *bulk.uniforms((3, 5)).ravel(), bulk.normal(),
+               *bulk.normals((2, 3), 0.5, 3.0).ravel(), bulk.randint(0, 1000), bulk.uniform()]
+        want = [scalar.next_u64(), scalar.uniform(), *(scalar.uniform() for _ in range(15)),
+                scalar.normal(), *(scalar.normal(0.5, 3.0) for _ in range(6)),
+                scalar.randint(0, 1000), scalar.uniform()]
+        assert got == want
+        assert bulk.state == scalar.state
+
+    def test_normals_call_no_numpy_transcendental(self, monkeypatch):
+        # the noise keeps the C library's log1p and cos, as the scalar draw
+        want = Rng(5).normals((3, 4), 0.0, 0.25)
+        for name in ("log1p", "cos", "exp", "log"):
+            monkeypatch.setattr(np, name, None)
+        assert np.array_equal(Rng(5).normals((3, 4), 0.0, 0.25), want)
+
+    def test_empty_shapes_draw_nothing(self):
+        rng = Rng(3)
+        assert rng.uniforms((0,)).shape == (0,)
+        assert rng.normals((2, 0)).shape == (2, 0)
+        assert rng.state == 3
+
+    @pytest.mark.parametrize("shape", [(-1,), (3, -2)])
+    def test_negative_dimension_rejected(self, shape):
+        rng = Rng(3)
+        for draw in (rng.uniforms, rng.normals):
+            with pytest.raises(ValueError):
+                draw(shape)
+        assert rng.state == 3
 
 
 class TestTensor4:

@@ -120,6 +120,13 @@ class TestCrossEntropy:
         with pytest.raises(ShapeError):
             cross_entropy_backward(logits, labels, np.ones(label_shape))
 
+    @pytest.mark.parametrize("weight_shape", [(1, 4, 4), (4,), (2, 1, 1)])
+    def test_backward_rejects_broadcastable_weights(self, weight_shape):
+        logits = np.zeros((2, 3, 4, 4))
+        labels = LabelMap(np.zeros((2, 4, 4), int), 3)
+        with pytest.raises(ShapeError, match="weights"):
+            cross_entropy_backward(logits, labels, np.ones(weight_shape))
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 3), st.integers(2, 5), st.integers(1, 6), st.integers(1, 6),
            st.integers(0, 2**32 - 1))

@@ -1,6 +1,7 @@
 """Network tests: conv adjoints, offset branch, schedule, SGD, training loop."""
 
 import dataclasses
+import hashlib
 import sys
 import tracemalloc
 import warnings
@@ -190,6 +191,19 @@ class TestLeakyRelu:
 
         rep = gradcheck(fn, [x], h=1e-6, tolerance=1e-6)
         assert not rep.failures
+
+
+class TestInitialization:
+    def test_default_net_is_pinned(self):
+        # weights come from uniform draws scaled by a correctly rounded sqrt,
+        # no libm or BLAS, so these bytes hold on any IEEE-754 platform
+        digest = hashlib.sha256()
+        for _, layer in lau.net.net_for(ExperimentConfig().to_train_config(), Rng(0)).named_layers():
+            digest.update(layer.weights.astype("<f8").tobytes())
+            digest.update(layer.bias.astype("<f8").tobytes())
+        assert digest.hexdigest() == (
+            "e8bbc9a58429c16b855844116cda42b6c3c011881a36eb1a33ff0b2b80ce804d"
+        )
 
 
 class TestOffsetPredictor:

@@ -1,5 +1,7 @@
 """Synthetic benchmark tests: generator determinism and metric fixtures."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,16 @@ class TestGenerator:
         assert set(np.unique(f)) <= {0.0, 1.0}
         assert np.array_equal(f.sum(axis=0), np.ones((4, 4)))
 
+    def test_label_maps_are_pinned(self):
+        # label maps come from integer draws and uniform floats only, no libm
+        # or BLAS, so these bytes hold on any IEEE-754 platform
+        digest = hashlib.sha256()
+        for i in range(8):
+            digest.update(gen_sample(0, i, 32, 32, 4, 8, 0.0).labels.labels.astype("<i8").tobytes())
+        assert digest.hexdigest() == (
+            "adfd4ffd46c79a40c8fc7d0378977fb3b1e4417f15c0ddab8228789b83869fd0"
+        )
+
     def test_every_sample_has_classes_and_boundaries(self):
         for sample in (gen_sample(11, i, 32, 32, 4, 8, 0.25) for i in range(20)):
             labels = sample.labels.labels[0]
@@ -44,17 +56,20 @@ class TestGenerator:
             assert boundary
 
     @pytest.mark.parametrize("args, name", [
-        ((32, 32, 1, 8), "num_classes"),
-        ((32, 32, 4, 0), "stride"),
-        ((30, 32, 4, 4), "height"),
-        ((32, 4, 4, 8), "width"),
+        ((32, 32, 1, 8, 0.25), "num_classes"),
+        ((32, 32, 4, 0, 0.25), "stride"),
+        ((30, 32, 4, 4, 0.25), "height"),
+        ((32, 4, 4, 8, 0.25), "width"),
+        ((32, 32, 4, 8, -0.25), "noise_std"),
+        ((32, 32, 4, 8, float("nan")), "noise_std"),
+        ((32, 32, 4, 8, float("inf")), "noise_std"),
     ])
     def test_bad_arguments_name_the_argument(self, args, name, monkeypatch):
         import lau.synth as synth
 
         monkeypatch.setattr(synth, "_draw_labels", None)  # rejected before any draw
         with pytest.raises(ValueError, match=name):
-            gen_sample(0, 0, *args, 0.25)
+            gen_sample(0, 0, *args)
 
     def test_redraws_are_bounded(self, monkeypatch):
         # a 1x1 map holds one class whatever is drawn
