@@ -12,12 +12,12 @@ The loss suites assemble their value and gradient with the same
 calls, so they check the loss step's own assembly, not a copy of it.
 
 A draw is rejected when its evaluation point sits too close to a kink:
-integer lattice hits of the sampling kernel, clamp boundaries, leaky-ReLU
-zeros, loss-branch switches, or the smooth-L1 transition. Central
-differences are meaningless across those, and the margins (1e-3 in
-coordinate space, 1e-4 in loss space) keep every probe on one smooth
-piece. After 100 rejections in a row, of a case or of its offset field,
-the suite raises RuntimeError instead of looping on.
+integer lattice hits of the sampling kernel (its clamp edges are lattice
+points too), leaky-ReLU zeros, loss-branch switches, or the smooth-L1
+transition. Central differences are meaningless across those, and the
+margins (1e-3 in coordinate space, 1e-4 in loss space) keep every probe on
+one smooth piece. After 100 rejections in a row, of a case or of its
+offset field, the suite raises RuntimeError instead of looping on.
 
 Probe scalars are reduced with exact summation (math.fsum): at step 1e-6
 ordinary float64 accumulation over a few hundred terms already costs more
@@ -121,13 +121,9 @@ def _suite(subject: str, draw, seed: int, cases: int, h: float, tolerance: float
     return GradcheckReport(subject, cases, max_rel, failures)
 
 
-def _coords_safe(u_shape, off: OffsetField, k: int) -> bool:
-    _, _, h, w = u_shape
-    qx, qy = lau_source_coords(off, k)
-    for q, hi in ((qx, w - 1.0), (qy, h - 1.0)):
+def _coords_safe(off: OffsetField, k: int) -> bool:
+    for q in lau_source_coords(off, k):
         if (np.abs(q - np.round(q)) <= COORD_MARGIN).any():
-            return False
-        if (np.abs(q) <= COORD_MARGIN).any() or (np.abs(q - hi) <= COORD_MARGIN).any():
             return False
     return True
 
@@ -136,7 +132,7 @@ def _safe_offsets(rng, n, m, h, w, k) -> OffsetField:
     shape = (n, m, k * h, k * w)
     for _attempt in range(MAX_REJECTIONS):
         off = OffsetField(rng.uniform(-1.5, 1.5, shape), rng.uniform(-1.5, 1.5, shape))
-        if _coords_safe((n, 1, h, w), off, k):
+        if _coords_safe(off, k):
             return off
     raise RuntimeError(f"{MAX_REJECTIONS} offset draws in a row sat too close to a kink")
 
@@ -334,7 +330,7 @@ def _network_instance(seed: int, loss_kind: str):
         pre_acts = [cache["a1"], cache["a2"], cache["pcache"][0]]
         if any((np.abs(a) <= BRANCH_MARGIN).any() for a in pre_acts):
             continue
-        if not _coords_safe(cache["u"].shape, cache["off"], cfg.lau_ratio):
+        if not _coords_safe(cache["off"], cfg.lau_ratio):
             continue
         if loss_kind == "off":
             ce = cross_entropy_map(logits, labels)

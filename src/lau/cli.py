@@ -4,8 +4,8 @@ All outputs (CSV, PPM, checkpoints) are pure functions of the configuration
 and the input files, so re-running a command overwrites its artifacts with
 byte-identical content. The CSVs and the checkpoint are written through
 core.atomic_write, so an interrupted run never leaves one half written.
-Set LAU_THREADS to run sweep points in parallel; 0 or unset keeps
-everything sequential.
+Sweep points run side by side, one process per CPU this process may use
+(`taskset` limits them), each process with one BLAS thread.
 """
 
 from __future__ import annotations
@@ -262,7 +262,7 @@ def _sweep_point(task):
         cfg = ExperimentConfig.from_json(obj)
         train_set, val_set = cfg.datasets()
         result = train(cfg.to_train_config(), train_set, val_set)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, MemoryError) as exc:
         return (param, value, seed, None, None, str(exc))
     final = [r for r in result.metrics if r["split"] == "val"][-1]
     return (param, value, seed, final["miou"], final["pixacc"], None)
@@ -280,18 +280,23 @@ def cmd_sweep(args) -> int:
         seeds = [int(base_json.get("seed", 0))]
     tasks = [(base_json, args.param, v, s) for v in values for s in seeds]
 
-    raw = os.environ.get("LAU_THREADS", "0") or "0"
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ValueError(f"LAU_THREADS must be an integer, got {raw!r}") from None
-    if threads > 1 and len(tasks) > 1:
-        import multiprocessing as mp
-
-        with mp.Pool(min(threads, len(tasks))) as pool:
-            results = pool.map(_sweep_point, tasks)
-    else:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cpus, len(tasks))
+    if workers == 1:  # a pool would only add start-up time
         results = [_sweep_point(t) for t in tasks]
+    else:  # imported here: the other commands need neither module
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+            # workers start at submit and load numpy with one BLAS thread each
+            saved = os.environ.copy()
+            os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+            try:
+                futures = [pool.submit(_sweep_point, t) for t in tasks]
+            finally:
+                os.environ.clear()
+                os.environ.update(saved)
+            results = [f.result() for f in futures]
 
     results.sort(key=lambda r: (r[0], r[1], r[2]))
     os.makedirs(args.out, exist_ok=True)
@@ -363,7 +368,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"invalid config - {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -395,6 +395,7 @@ class TrainConfig:
                 raise ConfigError(key, message)
 
         need(self.num_classes >= 2, "classes", "must be >= 2")
+        need(self.in_channels >= 1, "classes", "input channels must be >= 1")
         need(self.total_upsample >= 1, "output_stride", "must be >= 1")
         need(self.lau_ratio >= 1, "lau_ratio", "must be >= 1")
         need(self.total_upsample % self.lau_ratio == 0, "lau_ratio",

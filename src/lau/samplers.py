@@ -261,8 +261,8 @@ def lau_source_coords(off: OffsetField, k: int):
 def _lau_taps(u: np.ndarray, off: OffsetField, k: int):
     """Validate one lau call and read its four bilinear taps, once.
 
-    Returns (u, qx, qy, fx, fy, idx, taps): the validated input, the raw
-    source points and cell fractions in the offset-group layout, and the
+    Returns (u, fx, fy, idx, taps): the validated input, the cell fractions
+    of the clamped source points in the offset-group layout, and the
     flat indices into U and values of the (y0,x0), (y0,x1), (y1,x0), (y1,x1)
     taps, each stacked as (4, n, c, k*h, k*w) for m = 1 and m = c alike.
     """
@@ -280,7 +280,7 @@ def _lau_taps(u: np.ndarray, off: OffsetField, k: int):
     plane = np.arange(n * c).reshape(n, c, 1, 1) * h
     row0, row1 = (plane + y0) * w, (plane + y1) * w
     idx = np.stack([row0 + x0, row0 + x1, row1 + x0, row1 + x1])
-    return u, qx, qy, fx, fy, idx, u.ravel()[idx]
+    return u, fx, fy, idx, u.ravel()[idx]
 
 
 def lau_forward(u: np.ndarray, off: OffsetField, k: int) -> np.ndarray:
@@ -303,7 +303,7 @@ def lau_backward(u: np.ndarray, off: OffsetField, k: int, dv: np.ndarray):
     -1 where it sits right, and 0 at exact lattice hits, at support edges,
     and wherever the raw (unclamped) point fell outside the grid.
     """
-    u, qx, qy, fx, fy, idx, t = _lau_taps(u, off, k)
+    u, fx, fy, idx, t = _lau_taps(u, off, k)
     dv = as_tensor4(dv)
     if dv.shape != t.shape[1:]:
         raise ShapeError(f"dv shape {dv.shape} != output {t.shape[1:]}")
@@ -313,15 +313,13 @@ def lau_backward(u: np.ndarray, off: OffsetField, k: int, dv: np.ndarray):
     weights = np.stack([(1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx])
     du = np.bincount(idx.ravel(), (dv * weights).ravel(), u.size).reshape(u.shape)
 
-    # Kernel slope terms. At fx == 0 the point sits exactly on a column (or
-    # on the replicated border), where the symmetric subgradient is 0; the
-    # (fx > 0) mask also guarantees x1 = x0 + 1 is a genuine neighbor.
+    # Kernel slope terms. fx == 0 on a column hit, where the symmetric
+    # subgradient is 0, and on every point clamped from outside the grid;
+    # the (fx > 0) mask also guarantees x1 = x0 + 1 is a genuine neighbor.
     sx = (t[1] - t[0]) * (1 - fy) + (t[3] - t[2]) * fy
     sy = (t[2] - t[0]) * (1 - fx) + (t[3] - t[1]) * fx
-    live_x = (fx > 0.0) & (qx >= 0.0) & (qx <= u.shape[3] - 1.0)
-    live_y = (fy > 0.0) & (qy >= 0.0) & (qy <= u.shape[2] - 1.0)
-    gx = dv * sx * live_x
-    gy = dv * sy * live_y
+    gx = dv * sx * (fx > 0.0)
+    gy = dv * sy * (fy > 0.0)
     if off.m == 1:
         gx, gy = gx.sum(axis=1, keepdims=True), gy.sum(axis=1, keepdims=True)
     return du, OffsetField(gx, gy)

@@ -1,6 +1,8 @@
 """CLI tests: config validation, command outputs, schemas, determinism."""
 
+import concurrent.futures
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -294,15 +296,6 @@ class TestSweepCommand:
         assert named in (out / "errors.txt").read_text()
         assert (out / "sweep.csv").read_text().strip().split("\n")[1].endswith(",,")
 
-    def test_bad_thread_count_names_the_variable(self, tmp_path):
-        cfg = write_config(tmp_path, epochs=1, train_count=4, val_count=2)
-        out = tmp_path / "sw"
-        proc = run_cli(["sweep", "--param", "lambda", "--values", "0.3", "--config", cfg,
-                        "--out", str(out)], LAU_THREADS="abc")
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error:") and "LAU_THREADS" in proc.stderr, proc.stderr
-        assert "Traceback" not in proc.stderr and not out.exists()
-
     def test_clean_sweep_removes_stale_errors(self, tmp_path):
         cfg = write_config(tmp_path, epochs=1, train_count=4, val_count=2)
         out = tmp_path / "sw"
@@ -341,16 +334,70 @@ class TestSweepCommand:
         assert sweep_row[4] == final_val[3]  # pixacc
 
     def test_parallel_matches_sequential(self, tmp_path, monkeypatch):
+        # one usable CPU runs the points in-process, two run them in a pool
         cfg = write_config(tmp_path, epochs=1, train_count=4, val_count=2)
-        out_seq = tmp_path / "seq"
-        out_par = tmp_path / "par"
-        monkeypatch.delenv("LAU_THREADS", raising=False)
+        outputs = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
+            for param, values, rc in (("lambda", "0,0.3", 0), ("ratio", "2,3", 1)):
+                out = tmp_path / f"{param}{cpus}"
+                assert main(["sweep", "--param", param, "--values", values,
+                             "--config", cfg, "--out", str(out)]) == rc
+                outputs[param, cpus] = sorted((f.name, f.read_bytes()) for f in out.iterdir())
+            assert multiprocessing.active_children() == []
+        assert outputs["lambda", 1] == outputs["lambda", 2]
+        assert outputs["ratio", 1] == outputs["ratio", 2]
+        assert [name for name, _ in outputs["ratio", 2]] == ["errors.txt", "sweep.csv"]
+
+    def test_pool_workers_start_on_one_blas_thread(self, tmp_path, monkeypatch):
+        asked = []
+
+        class AskingExecutor(concurrent.futures.ProcessPoolExecutor):
+            """Before the first sweep point, asks a worker what it read as it started."""
+
+            def submit(self, fn, *args):
+                if not asked:
+                    asked.append(super().submit(os.getenv, "OPENBLAS_NUM_THREADS"))
+                return super().submit(fn, *args)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", AskingExecutor)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        cfg = write_config(tmp_path, epochs=1, train_count=4, val_count=2)
         assert main(["sweep", "--param", "lambda", "--values", "0,0.3",
-                     "--config", cfg, "--out", str(out_seq)]) == 0
-        monkeypatch.setenv("LAU_THREADS", "2")
-        assert main(["sweep", "--param", "lambda", "--values", "0,0.3",
-                     "--config", cfg, "--out", str(out_par)]) == 0
-        assert (out_seq / "sweep.csv").read_bytes() == (out_par / "sweep.csv").read_bytes()
+                     "--config", cfg, "--out", str(tmp_path / "sw")]) == 0
+        assert [f.result() for f in asked] == ["1"]
+        assert dict(os.environ) == before
+        assert multiprocessing.active_children() == []
+
+
+class TestOversizedRequests:
+    # Every request is for 700 TiB or more, beyond the 128 TiB (256 TiB on
+    # some arm64 kernels) that a process's address space spans by default,
+    # so numpy's allocation fails before it touches memory, on any machine.
+    @pytest.mark.parametrize("command, overrides", [
+        (["demo", "--size", "20000000", "--ratio", "1"], None),
+        (["train"], {"hidden_channels": 10**13}),
+        (["train"], {"classes": 10**14}),
+    ], ids=["demo-size", "train-hidden-channels", "train-classes"])
+    def test_one_error_line(self, tmp_path, command, overrides):
+        if overrides is not None:
+            command = command + ["--config", write_config(tmp_path, **overrides)]
+        proc = run_cli(command + ["--out", str(tmp_path / "x")])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and "allocate" in proc.stderr, proc.stderr
+        assert proc.stderr.count("\n") == 1, proc.stderr
+
+    def test_sweep_point_is_a_failed_row(self, tmp_path):
+        cfg = write_config(tmp_path, hidden_channels=10**13)
+        out = tmp_path / "sw"
+        proc = run_cli(["sweep", "--param", "lambda", "--values", "0.3", "--config", cfg, "--out", str(out)])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert "allocate" in (out / "errors.txt").read_text()
+        assert (out / "sweep.csv").read_text().strip().split("\n")[1].endswith(",,")
 
 
 class TestGradcheckCommand:

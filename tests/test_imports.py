@@ -1,11 +1,15 @@
-"""Source hygiene: every module of the package reads every name it imports.
+"""Source hygiene: every module of the package reads every name it imports,
+and every module-level private name is used somewhere in the package.
 
-A stdlib-only stand-in for a linter's unused-import rule. `__init__.py` is
-left out, since its imports are the package's re-exports.
+Stdlib-only stand-ins for a linter's unused-import and dead-code rules.
+`__init__.py` is left out of the import scan, since its imports are the
+package's re-exports. A private name that only tests use counts as dead:
+code that only its own tests call is deleted.
 """
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -40,3 +44,53 @@ def test_scanner_reports_only_unread_names():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def _references(tree) -> Counter:
+    """How often each name is read, as a name, an attribute or an imported name."""
+    refs = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def unreferenced_private_names(sources: dict) -> list:
+    """'module.name' for each module-level private function, class or constant
+    that no module of `sources` (module name -> source) reads outside the
+    name's own definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    refs = sum((_references(tree) for tree in trees.values()), Counter())
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            own = _references(node)
+            for name in names:
+                if name.startswith("_") and not name.startswith("__") and refs[name] == own[name]:
+                    found.append(f"{module}.{name}")
+    return sorted(found)
+
+
+def test_private_name_scan_reports_only_unreferenced():
+    sources = {
+        "a": ("_USED, _PAIRED = 1, 2\n_UNUSED: int = 3\n__version__ = '1'\n"
+              "def _recursive(n):\n    return _recursive(n - 1)\nclass _Thing:\n    pass\n"),
+        "b": "from .a import _USED\nimport a\nx = a._Thing, _PAIRED\n",
+    }
+    assert unreferenced_private_names(sources) == ["a._UNUSED", "a._recursive"]
+
+
+def test_no_unreferenced_private_names():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unreferenced_private_names(sources) == []

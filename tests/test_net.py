@@ -679,6 +679,7 @@ class TestTraining:
         ({"slope": 1.0}, "leaky_slope"),
         ({"power": -1.0}, "power"),
         ({"total_upsample": 0}, "output_stride"),
+        ({"in_channels": 0}, "classes"),
     ])
     def test_validate_names_the_json_key(self, patch, key):
         toy_config().validate()
