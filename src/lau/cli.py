@@ -287,16 +287,22 @@ def cmd_sweep(args) -> int:
     else:  # imported here: the other commands need neither module
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-            # workers start at submit and load numpy with one BLAS thread each
-            saved = os.environ.copy()
-            os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-            try:
-                futures = [pool.submit(_sweep_point, t) for t in tasks]
-            finally:
-                os.environ.clear()
-                os.environ.update(saved)
-            results = [f.result() for f in futures]
+        from concurrent.futures.process import BrokenProcessPool
+        try:
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+                # workers start at submit and load numpy with one BLAS thread each
+                saved = os.environ.copy()
+                os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+                try:
+                    futures = [pool.submit(_sweep_point, t) for t in tasks]
+                finally:
+                    os.environ.clear()
+                    os.environ.update(saved)
+                results = [f.result() for f in futures]
+        except BrokenProcessPool:
+            print("error: a sweep worker died (killed, out of memory, or started from a script "
+                  "with no `if __name__ == '__main__':` guard); no sweep.csv written", file=sys.stderr)
+            return 1
 
     results.sort(key=lambda r: (r[0], r[1], r[2]))
     os.makedirs(args.out, exist_ok=True)

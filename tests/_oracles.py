@@ -2,17 +2,20 @@
 
 Everything here is written directly from the mathematical definitions, with
 none of the gather/scatter shortcuts the library uses, so agreement is
-meaningful. The exception is the reference kernels at the end: per-tap
-einsum convs, a gather/np.add.at bilinear stage, np.pad zero padding and a
-np.take_along_axis cross-entropy, the byte baseline that the library's
-matmul, phase-sliced, buffer-padding and flat-index paths must reproduce
-exactly.
+meaningful. The exception is the reference code at the end: per-tap einsum
+convs, a gather/np.add.at bilinear stage, np.pad zero padding, a
+np.take_along_axis cross-entropy and an evaluate with one forward per loss
+group, the byte baseline that the library's matmul, phase-sliced,
+buffer-padding, flat-index and chunked paths must reproduce exactly.
 """
 
 import math
 
 import numpy as np
 
+from lau import synth
+from lau.core import LabelMap
+from lau.net import loss_and_grads
 from lau.samplers import OffsetField
 
 
@@ -255,3 +258,31 @@ def add_at_bilinear_upsample_backward(in_shape, k, dv):
     np.add.at(du.transpose(3, 0, 1, 2), x0, (dt * (1.0 - fx)).transpose(3, 0, 1, 2))
     np.add.at(du.transpose(3, 0, 1, 2), x1, (dt * fx).transpose(3, 0, 1, 2))
     return du
+
+
+def one_forward_evaluate(net, cfg, samples):
+    """evaluate as one loss_and_grads forward per group of max(cfg.batch, 64)
+    samples, each group's loss weighted by its count of valid labels."""
+    loss_sum = 0.0
+    loss_count = 0
+    preds = []
+    gts = []
+    group = max(cfg.batch, 64)
+    for lo in range(0, len(samples), group):
+        chunk = samples[lo : lo + group]
+        features = np.concatenate([s.features for s in chunk])
+        labels = LabelMap(np.concatenate([s.labels.labels for s in chunk]), cfg.num_classes)
+        scalar, logits = loss_and_grads(net, cfg, features, labels)[:2]
+        nv = int(labels.valid.sum())
+        loss_sum += scalar * nv
+        loss_count += nv
+        preds.append(np.argmax(logits, axis=1))
+        gts.append(labels.labels)
+    pred_map = LabelMap(np.concatenate(preds), cfg.num_classes)
+    gt_map = LabelMap(np.concatenate(gts), cfg.num_classes)
+    return {
+        "loss": loss_sum / loss_count,
+        "pixacc": synth.pix_acc(pred_map, gt_map),
+        "miou": synth.miou(pred_map, gt_map, cfg.num_classes),
+        "speckle": synth.speckle_rate(pred_map),
+    }

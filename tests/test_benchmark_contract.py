@@ -5,12 +5,13 @@ perfbench/run.py wraps functions of lau.net and lau.checks and builds its
 set-ups from lau.cli and lau.core; a rename there would otherwise surface
 only when the benchmark runs. Its probes also rely on invariants of the
 training loop and the FD checks (one `reduce_loss` per training step, the
-loss as `fn(x)[0]`, one timed `fn` call per point and per probe), so a
-little real work goes through them too. The checks run in a fresh
-interpreter because run.py pins the BLAS thread count before numpy is
-first imported.
+loss as `fn(x)[0]`, one timed `fn` call per point and per probe), and its
+tracer on spans that nest on one thread, so a little real work goes through
+them too. The checks run in a fresh interpreter because run.py pins the
+BLAS thread count before numpy is first imported.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -30,13 +31,16 @@ ns["gradcheck_setup"](lau)()
 print("contract ok")
 """
 
+# the training config of the scripts below, passed as JSON in argv[2]
+TINY = {"image_size": 16, "output_stride": 4, "lau_ratio": 2, "classes": 3, "batch": 4,
+        "train_count": 8, "val_count": 4, "hidden_channels": 8}
+
 PROBES = """
-import math, os, runpy, sys
+import json, math, os, runpy, sys
 ns = runpy.run_path("perfbench/run.py")
 lau = ns["import_lau"]()
 work = sys.argv[1]
-tiny = {"image_size": 16, "output_stride": 4, "lau_ratio": 2, "classes": 3, "batch": 4,
-        "train_count": 8, "val_count": 4, "hidden_channels": 8}
+tiny = json.loads(sys.argv[2])
 for name, config in (("off", {"upsampler": "lau", "loss": "off"}),
                      ("bilinear", {"upsampler": "bilinear", "loss": "ce"})):
     os.makedirs(os.path.join(work, name))
@@ -113,6 +117,48 @@ assert tracer.names.count("losses.build_candidate_set") == 1, sorted(set(tracer.
 print("contract ok")
 """
 
+# Tracer takes a span's parent from a stack shared by every call, so its
+# self times are right only while calls nest on one thread. A threaded or
+# pooled evaluate would break that; these checks of one traced lau/off run
+# would then fail, where the per-layer numbers would only go quietly wrong.
+NESTED_SPANS = """
+import json, os, runpy, sys
+ns = runpy.run_path("perfbench/run.py")
+lau = ns["import_lau"]()
+work = sys.argv[1]
+bench = ns["run_train"].__globals__  # the module run_train reads its names from
+bench["TRACE_DIR"] = os.path.join(work, "trace")  # the span dump, out of the checkout
+tracers = []
+
+class Kept(bench["Tracer"]):
+    def __init__(self):
+        super().__init__()
+        tracers.append(self)
+
+bench["Tracer"] = Kept
+# 32 training samples: the train split's evaluate forwards several chunks
+config = dict(json.loads(sys.argv[2]), train_count=32, upsampler="lau", loss="off")
+spec = {"name": "train_off", "config": config}
+outcome = ns["run_train"](lau, spec, 1, 0.0, True, work)
+assert outcome.correct and outcome.failed == 0, outcome.problems
+(t,) = tracers
+n = len(t.names)
+steps = [name for name in t.names if name in ("net.sgd_step", "net.evaluate")]
+per_epoch = ["net.sgd_step"] * (len(steps) // ns["TRAIN_EPOCHS"] - 2) + ["net.evaluate"] * 2
+assert steps == per_epoch * ns["TRAIN_EPOCHS"], steps
+child = [0.0] * n
+for i in range(n):
+    p = t.parents[i]
+    if p >= 0:
+        assert t.starts[p] <= t.starts[i] <= t.ends[i] <= t.ends[p], (t.names[p], t.names[i])
+        child[p] += t.ends[i] - t.starts[i]
+for i in range(n):
+    assert t.ends[i] - t.starts[i] - child[i] >= 0, t.names[i]
+inside = {t.names[i] for i in range(n) if t.parents[i] >= 0 and t.names[t.parents[i]] == "net.evaluate"}
+assert "net.network_forward" in inside, sorted(inside)
+print("contract ok")
+"""
+
 
 def run_script(script, *args):
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
@@ -127,7 +173,11 @@ def test_benchmark_hooks_resolve():
 
 
 def test_benchmark_probes_accept_real_work(tmp_path):
-    run_script(PROBES, str(tmp_path))
+    run_script(PROBES, str(tmp_path), json.dumps(TINY))
+
+
+def test_traced_spans_nest_on_one_thread(tmp_path):
+    run_script(NESTED_SPANS, str(tmp_path), json.dumps(TINY))
 
 
 def test_tracer_wraps_the_geometry_entry_points():

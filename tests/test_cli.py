@@ -372,6 +372,27 @@ class TestSweepCommand:
         assert dict(os.environ) == before
         assert multiprocessing.active_children() == []
 
+    def test_dead_worker_is_one_error_line(self, tmp_path):
+        # Spawned workers re-import the calling script. Without a __main__
+        # guard, each one re-runs the sweep while bootstrapping, which
+        # multiprocessing refuses, so both workers die before any point runs.
+        cfg = write_config(tmp_path, epochs=1, train_count=4, val_count=2)
+        out = tmp_path / "sw"
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "import os, sys\n"
+            "from lau.cli import main\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}  # a 2-worker pool on any machine\n"
+            f"sys.exit(main(['sweep', '--param', 'lambda', '--values', '0,0.3', "
+            f"'--config', {cfg!r}, '--out', {str(out)!r}]))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.strip().splitlines()[-1].startswith("error:"), proc.stderr
+        assert "BrokenProcessPool" not in proc.stderr, proc.stderr
+        assert not (out / "sweep.csv").exists()
+
 
 class TestOversizedRequests:
     # Every request is for 700 TiB or more, beyond the 128 TiB (256 TiB on

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import re
 import sys
 import tracemalloc
 import warnings
@@ -43,9 +44,15 @@ from lau.net import (
     train,
 )
 from lau.samplers import pixel_shuffle
-from lau.synth import gen_sample
+from lau.synth import SynthSample, gen_sample
 
-from _oracles import assert_adjoint, einsum_conv2d_backward, einsum_conv2d_forward, np_pad_reference
+from _oracles import (
+    assert_adjoint,
+    einsum_conv2d_backward,
+    einsum_conv2d_forward,
+    np_pad_reference,
+    one_forward_evaluate,
+)
 
 
 def toy_config(**overrides):
@@ -612,6 +619,17 @@ class TestSgd:
             sgd_step([w], [np.zeros(2)], [v], lr=0.5, momentum=0.0, decays=[0.0])
         assert np.array_equal(w, [3.0, -4.0])
 
+    @pytest.mark.parametrize("longer", range(4), ids=["params", "grads", "velocities", "decays"])
+    def test_mismatched_lists_raise_before_any_update(self, longer):
+        # zip would update the shortest prefix and drop the rest silently
+        lists = [[np.ones(2)], [np.ones(2)], [np.zeros(2)], [0.1]]
+        lists[longer] = lists[longer] * 2
+        lengths = [1, 1, 1, 1]
+        lengths[longer] = 2
+        with pytest.raises(ShapeError, match=re.escape(f"lengths differ: {lengths}")):
+            sgd_step(lists[0], lists[1], lists[2], lr=0.5, momentum=0.9, decays=lists[3])
+        assert np.array_equal(lists[0][0], [1.0, 1.0]) and np.array_equal(lists[2][0], [0.0, 0.0])
+
 
 class TestTraining:
     def make_data(self, cfg, count=8, val=4):
@@ -686,6 +704,81 @@ class TestTraining:
         with pytest.raises(ConfigError) as exc:
             toy_config(**patch).validate()
         assert exc.value.field_name == key
+
+
+def eval_samples(count, seed=0):
+    """Toy-config samples with a fifth of the pixels IGNORE and sample 3 wholly so."""
+    rng = np.random.default_rng(seed)
+    samples = []
+    for i in range(count):
+        labels = rng.integers(0, 3, (1, 16, 16))
+        labels[(rng.random((1, 16, 16)) < 0.2) | (i == 3)] = IGNORE
+        samples.append(SynthSample(rng.normal(size=(1, 3, 4, 4)), LabelMap(labels, 3)))
+    return samples
+
+
+class TestEvaluate:
+    SETUPS = {
+        "bilinear/ce": dict(upsampler="bilinear", loss_kind="ce"),
+        "lau/ce": dict(loss_kind="ce"),
+        "lau/off": dict(loss_kind="off"),
+        "lau/reg": dict(loss_kind="reg"),
+        "lau/off/m=classes": dict(loss_kind="off", offset_groups=3),
+    }
+
+    def net(self, cfg):
+        net = net_for(cfg)
+        if net.predictor is not None:  # nonzero offsets, so the lau taps move
+            expand = net.predictor.expand.weights
+            expand[...] = np.random.default_rng(5).normal(scale=0.5, size=expand.shape)
+        return net
+
+    @pytest.mark.parametrize("count, batch", [(1, 4), (7, 4), (70, 4), (129, 4), (129, 100)])
+    @pytest.mark.parametrize("setup", sorted(SETUPS))
+    def test_equals_one_forward_per_loss_group(self, setup, count, batch):
+        # chunks of at most 8 samples, concatenated back into the groups of
+        # max(batch, 64) that the loss is reduced over, give the same floats
+        cfg = toy_config(batch=batch, **self.SETUPS[setup])
+        net = self.net(cfg)
+        samples = eval_samples(count)
+        got = evaluate(net, cfg, samples)
+        assert got == one_forward_evaluate(net, cfg, samples)
+        assert all(np.isfinite(v) for v in got.values())
+
+    def test_forwards_chunks_and_reduces_once_per_group(self, monkeypatch):
+        cfg = toy_config(loss_kind="off")
+        real_forward, real_reduce = lau.net.network_forward, lau.net.reduce_loss
+        sizes, reduced = [], []
+
+        def forward(net, x):
+            sizes.append(len(x))
+            return real_forward(net, x)
+
+        def reduce(lm):
+            reduced.append(lm.shape)
+            return real_reduce(lm)
+
+        monkeypatch.setattr(lau.net, "network_forward", forward)
+        monkeypatch.setattr(lau.net, "reduce_loss", reduce)
+        evaluate(self.net(cfg), cfg, eval_samples(70))
+        assert max(sizes) <= 8 and sum(sizes) == 70
+        assert reduced == [(64, 16, 16), (6, 16, 16)]
+
+    @pytest.mark.parametrize("upsampler, loss", [("lau", "off"), ("lau", "reg"), ("bilinear", "ce")])
+    def test_default_config_peak_memory_is_bounded(self, upsampler, loss):
+        # one 64-sample forward peaked at 54-58 MiB (lau) and 38.5 MiB
+        # (bilinear); chunks of 8 samples stay near 20 MiB
+        ec = ExperimentConfig(upsampler=upsampler, loss=loss, train_count=64, val_count=1)
+        cfg = ec.to_train_config()
+        samples = ec.datasets()[0]
+        net = lau.net.net_for(cfg, Rng(0))
+        tracemalloc.start()
+        try:
+            evaluate(net, cfg, samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20, f"{peak / 2**20:.1f} MiB"
 
 
 class TestCheckpoint:
