@@ -346,7 +346,7 @@ def _network_instance(seed: int, loss_kind: str):
     raise RuntimeError(f"no margin-safe instance found for seed {seed} / {loss_kind}")
 
 
-def network_gradcheck(seed: int = 0, loss_kind: str = "ce", h: float = 1e-5, tolerance: float = 1e-4) -> GradcheckReport:
+def network_gradcheck(seed: int = 0, loss_kind: str = "ce") -> GradcheckReport:
     """End-to-end FD check over every trainable parameter of the toy net."""
     net, cfg, features, labels = _network_instance(seed, loss_kind)
     params = _params(net)
@@ -357,7 +357,7 @@ def network_gradcheck(seed: int = 0, loss_kind: str = "ce", h: float = 1e-5, tol
         scalar, _, backward = loss_and_grads(net, cfg, features, labels)
         return scalar, lambda: _flat(*backward())
 
-    rep = gradcheck(fn, [_flat(*params)], h=h, tolerance=tolerance)
+    rep = gradcheck(fn, [_flat(*params)], h=1e-5, tolerance=1e-4)
     rep.subject = f"network/{loss_kind}"
     return rep
 

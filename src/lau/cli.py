@@ -21,7 +21,7 @@ import numpy as np
 
 from .checks import standard_suite
 from .core import ConfigError, atomic_write, read_tensor
-from .net import TrainConfig, network_forward, save_checkpoint, train
+from .net import TrainConfig, _check_fields, _json_key, network_forward, save_checkpoint, train
 from .samplers import (
     CORNERS,
     OffsetField,
@@ -80,26 +80,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)} - {"lam"} | {"lambda"}
+        names = {_json_key(f.name): f.name for f in fields(cls)}
         for key in obj:
-            if key not in known:
+            if key not in names:
                 raise ConfigError(key, "unknown configuration key")
-        return cls(**{("lam" if k == "lambda" else k): v for k, v in obj.items()})
+        return cls(**{names[k]: v for k, v in obj.items()})
 
     def validate(self) -> None:
-        """Field types, finite floats, training rules (by building a TrainConfig), then the rest."""
-        types = {"int": int, "float": (int, float), "str": str}
-        for f in fields(self):
-            key = "lambda" if f.name == "lam" else f.name
-            value = getattr(self, f.name)
-            # JSON's true/false load as bool, which is an int subclass
-            if isinstance(value, bool) or not isinstance(value, types[f.type]):
-                raise ConfigError(key, f"must be of type {f.type}")
-            # JSON's Infinity and NaN parse as floats and compare their way
-            # past every range rule below, and an integer beyond float range
-            # would overflow on first use; the exact int/float compare rejects all three
-            if f.type == "float" and not abs(value) <= sys.float_info.max:
-                raise ConfigError(key, "must be a finite number")
+        """Field types and finite floats, training rules (by building a TrainConfig), then the rest."""
+        _check_fields(self)
         self.to_train_config()
         for name, ok, message in (
             ("image_size", self.image_size >= self.output_stride
@@ -113,27 +102,9 @@ class ExperimentConfig:
                 raise ConfigError(name, message)
 
     def to_train_config(self) -> TrainConfig:
-        return TrainConfig(
-            num_classes=self.classes,
-            in_channels=self.classes,
-            decoder_channels=self.hidden_channels,
-            reduced_channels=self.hidden_channels,
-            offset_groups=self.m_channels,
-            slope=self.leaky_slope,
-            lau_ratio=self.lau_ratio,
-            total_upsample=self.output_stride,
-            upsampler=self.upsampler,
-            loss_kind=self.loss,
-            lam=self.lam,
-            gamma=self.gamma,
-            base_lr=self.lr,
-            power=self.power,
-            momentum=self.momentum,
-            weight_decay=self.weight_decay,
-            epochs=self.epochs,
-            batch=self.batch,
-            seed=self.seed,
-        )
+        """The TrainConfig of this run: each field read from the field with its JSON key."""
+        by_key = {_json_key(f.name): getattr(self, f.name) for f in fields(self)}
+        return TrainConfig(**{f.name: by_key[_json_key(f.name)] for f in fields(TrainConfig)})
 
     def datasets(self):
         args = (self.image_size, self.image_size, self.classes, self.output_stride, self.noise_std)

@@ -192,9 +192,29 @@ def mix_seed(seed: int, index: int) -> int:
 
 
 # Binary dump: 16-byte header of four little-endian u32 dims (n, c, h, w),
-# then n*c*h*w little-endian float64 values in row-major order.
-
+# then n*c*h*w little-endian float64 values in row-major order. Tensor dumps
+# and checkpoint entries alike are written by _write_dump and read by _read_dump.
 _HEADER = struct.Struct("<4I")
+
+
+def _write_dump(fh, arr, dims) -> None:
+    fh.write(_HEADER.pack(*dims))
+    fh.write(arr.astype("<f8").tobytes())
+
+
+def _read_dump(fh, path) -> np.ndarray:
+    """The dump at fh's position. Its header's payload size is checked against the
+    bytes the file has left before the payload is read, so a corrupt or hostile
+    header can never make the reader ask for more bytes than the file has."""
+    raw = fh.read(_HEADER.size)
+    if len(raw) != _HEADER.size:
+        raise IOError(f"{path}: truncated header")
+    dims = _HEADER.unpack(raw)
+    need = 8 * math.prod(dims)
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if left < need:
+        raise IOError(f"{path}: truncated payload: dims {dims} need {need} bytes, {left} left")
+    return np.frombuffer(fh.read(need), dtype="<f8").astype(np.float64).reshape(dims)
 
 
 @contextlib.contextmanager
@@ -219,26 +239,13 @@ def atomic_write(path, mode: str = "w"):
 def write_tensor(path, u: np.ndarray) -> None:
     u = as_tensor4(u)
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(*u.shape))
-        fh.write(u.astype("<f8", copy=False).tobytes(order="C"))
+        _write_dump(fh, u, u.shape)
 
 
 def read_tensor(path) -> np.ndarray:
-    """Read a dump whose file size matches the dims in its header.
-
-    The size is checked before the payload is read, so a corrupt or hostile
-    header can never make the reader ask for more bytes than the file has.
-    """
+    """Read a file holding exactly one dump."""
     with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        if len(raw) != _HEADER.size:
-            raise IOError(f"{path}: truncated header")
-        dims = _HEADER.unpack(raw)
-        want = _HEADER.size + 8 * math.prod(dims)
-        size = os.fstat(fh.fileno()).st_size
-        if size != want:
-            problem = "truncated payload" if size < want else "trailing bytes"
-            raise IOError(f"{path}: {problem}: dims {dims} need {want} bytes, file has {size}")
-        payload = fh.read(want - _HEADER.size)
-    return np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)
-
+        u = _read_dump(fh, path)
+        if fh.read(1):
+            raise IOError(f"{path}: trailing bytes after the dump of dims {u.shape}")
+    return u

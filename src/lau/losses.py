@@ -273,6 +273,10 @@ def build_candidate_set(u: np.ndarray, off: OffsetField, k: int, rest: int,
     if off.m != 1:
         raise ShapeError("candidate machinery needs shared offsets (m = 1)")
     n, c, h, w = u.shape
+    if (off.n, off.h_out, off.w_out) != (n, k * h, k * w):
+        raise ShapeError(f"offset dims {off.dx.shape} != sampler output ({n}, 1, {k * h}, {k * w})")
+    if refined.shape != (labels.n, labels.h, labels.w):
+        raise ShapeError(f"refined loss {refined.shape} != labels {(labels.n, labels.h, labels.w)}")
 
     losses = [_pool_mean(refined.values, refined.valid, rest)]
     for corner in CORNERS:

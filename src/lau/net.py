@@ -13,11 +13,12 @@ No autograd framework: every forward op has a hand-written adjoint, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import _HEADER, ConfigError, LabelMap, Rng, ShapeError, as_tensor4, atomic_write
+from .core import ConfigError, LabelMap, Rng, ShapeError, _read_dump, _write_dump, as_tensor4, atomic_write
 from .losses import (
     LossMap,
     build_candidate_set,
@@ -153,6 +154,8 @@ def _weight_grads(layer: ConvLayer, x: np.ndarray, dy_out: np.ndarray):
     x = as_tensor4(x)
     dy_out = as_tensor4(dy_out)
     n, cin, h, w = x.shape
+    if cin != layer.in_ch:
+        raise ShapeError(f"input channels {cin} != layer in_ch {layer.in_ch}")
     if dy_out.shape != (n, layer.out_ch, h, w):
         raise ShapeError(f"dY shape {dy_out.shape} != ({n},{layer.out_ch},{h},{w})")
     xp = _padded(x, layer.kernel).transpose(1, 0, 2, 3)  # CNHW view
@@ -363,6 +366,32 @@ def sgd_step(params, grads, velocities, lr: float, momentum: float, decays) -> N
         w -= lr * v
 
 
+# JSON keys of the config fields named otherwise. ExperimentConfig's fields are its keys, but lam
+# ("lambda" is a keyword); a TrainConfig field is read from the ExperimentConfig field of its key.
+_JSON_KEYS = {"num_classes": "classes", "in_channels": "classes", "decoder_channels": "hidden_channels",
+              "reduced_channels": "hidden_channels", "offset_groups": "m_channels", "slope": "leaky_slope",
+              "total_upsample": "output_stride", "loss_kind": "loss", "base_lr": "lr", "lam": "lambda"}
+
+
+def _json_key(name: str) -> str:
+    """The JSON config key of the field `name` of either config class."""
+    return _JSON_KEYS.get(name, name)
+
+
+def _check_fields(cfg) -> None:
+    """Raise ConfigError, naming the JSON key, at a config field of the wrong type or a non-finite float."""
+    types = {"int": int, "float": (int, float), "str": str}
+    for f in fields(cfg):
+        key, value = _json_key(f.name), getattr(cfg, f.name)
+        # JSON's true/false load as bool, which is an int subclass
+        if isinstance(value, bool) or not isinstance(value, types[f.type]):
+            raise ConfigError(key, f"must be of type {f.type}")
+        # JSON's Infinity and NaN pass every range rule, and an int beyond float range
+        # overflows on first use; the exact int/float compare rejects all three
+        if f.type == "float" and not abs(value) <= sys.float_info.max:
+            raise ConfigError(key, "must be a finite number")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Everything one training run needs; checked when built, then immutable."""
@@ -391,36 +420,37 @@ class TrainConfig:
         self.validate()
 
     def validate(self) -> None:
-        """Raise ConfigError at the first broken rule, named by its JSON config key."""
+        """Raise ConfigError at the first bad field type or broken rule, named by its JSON config key."""
+        _check_fields(self)
 
-        def need(ok, key, message):
+        def need(ok, name, message):
             if not ok:
-                raise ConfigError(key, message)
+                raise ConfigError(_json_key(name), message)
 
-        need(self.num_classes >= 2, "classes", "must be >= 2")
-        need(self.in_channels >= 1, "classes", "input channels must be >= 1")
-        need(self.total_upsample >= 1, "output_stride", "must be >= 1")
+        need(self.num_classes >= 2, "num_classes", "must be >= 2")
+        need(self.in_channels >= 1, "in_channels", "input channels must be >= 1")
+        need(self.total_upsample >= 1, "total_upsample", "must be >= 1")
         need(self.lau_ratio >= 1, "lau_ratio", "must be >= 1")
         need(self.total_upsample % self.lau_ratio == 0, "lau_ratio",
              f"{self.lau_ratio} does not divide output_stride {self.total_upsample}")
-        need(self.lam >= 0, "lambda", "must be >= 0")
+        need(self.lam >= 0, "lam", "must be >= 0")
         need(self.gamma >= 0, "gamma", "must be >= 0")
-        need(self.loss_kind in ("ce", "off", "reg"), "loss", "must be one of ce, off, reg")
+        need(self.loss_kind in ("ce", "off", "reg"), "loss_kind", "must be one of ce, off, reg")
         need(self.upsampler in ("lau", "bilinear"), "upsampler", "must be lau or bilinear")
         if self.upsampler == "bilinear":
-            need(self.loss_kind == "ce", "loss", "bilinear baseline supports only loss=ce")
-        need(self.base_lr > 0, "lr", "must be > 0")
+            need(self.loss_kind == "ce", "loss_kind", "bilinear baseline supports only loss=ce")
+        need(self.base_lr > 0, "base_lr", "must be > 0")
         need(self.power >= 0, "power", "must be >= 0")
         need(0 <= self.momentum < 1, "momentum", "must be in [0, 1)")
         need(self.weight_decay >= 0, "weight_decay", "must be >= 0")
         need(self.epochs >= 1, "epochs", "must be >= 1")
         need(self.batch >= 1, "batch", "must be >= 1")
-        need(self.offset_groups in (1, self.num_classes), "m_channels",
+        need(self.offset_groups in (1, self.num_classes), "offset_groups",
              f"must be 1 (shared) or the class count {self.num_classes}")
         if self.loss_kind == "reg":
-            need(self.offset_groups == 1, "m_channels", "loss=reg needs shared offsets (m=1)")
-        need(min(self.decoder_channels, self.reduced_channels) >= 1, "hidden_channels", "must be >= 1")
-        need(0 <= self.slope < 1, "leaky_slope", "must be in [0, 1)")
+            need(self.offset_groups == 1, "offset_groups", "loss=reg needs shared offsets (m=1)")
+        need(min(self.decoder_channels, self.reduced_channels) >= 1, "decoder_channels", "must be >= 1")
+        need(0 <= self.slope < 1, "slope", "must be in [0, 1)")
 
 
 @dataclass
@@ -645,24 +675,22 @@ def save_checkpoint(path, net: SegNet) -> None:
     with atomic_write(path, "wb") as fh:
         fh.write(_manifest(net))
         for arr, dims in _checkpoint_entries(net):
-            fh.write(_HEADER.pack(*dims))
-            fh.write(arr.astype("<f8").tobytes())
+            _write_dump(fh, arr, dims)
 
 
 def load_checkpoint(path, net: SegNet) -> None:
+    """Load a checkpoint saved for a network of net's shapes; on any error net is unchanged."""
     with open(path, "rb") as fh:
         line = _manifest(net)
         head = fh.readline(len(line))  # bounded: a hostile file may hold no newline
         if head != line:
             raise IOError(f"checkpoint manifest {head[:24]!r} does not match this network")
-        for arr, want in _checkpoint_entries(net):
-            raw = fh.read(_HEADER.size)
-            dims = _HEADER.unpack(raw) if len(raw) == _HEADER.size else None
-            if dims != tuple(want):
-                raise IOError(f"checkpoint tensor dims {dims} != {tuple(want)}")
-            payload = fh.read(8 * arr.size)
-            if len(payload) != 8 * arr.size:
-                raise IOError("truncated checkpoint payload")
-            arr[...] = np.frombuffer(payload, dtype="<f8").reshape(arr.shape)
+        tensors = []
+        for _, dims in _checkpoint_entries(net):
+            tensors.append(_read_dump(fh, path))
+            if tensors[-1].shape != tuple(dims):
+                raise IOError(f"checkpoint tensor dims {tensors[-1].shape} != {tuple(dims)}")
         if fh.read(1):
             raise IOError("trailing bytes after the last checkpoint tensor")
+    for (arr, _), t in zip(_checkpoint_entries(net), tensors):
+        arr[...] = t.reshape(arr.shape)

@@ -1,10 +1,13 @@
 """Source hygiene: every module of the package reads every name it imports,
-and every module-level private name is used somewhere in the package.
+every module-level private name is used somewhere in the package, and no
+module reads another module's private constant.
 
 Stdlib-only stand-ins for a linter's unused-import and dead-code rules.
 `__init__.py` is left out of the import scan, since its imports are the
 package's re-exports. A private name that only tests use counts as dead:
-code that only its own tests call is deleted.
+code that only its own tests call is deleted. A private constant, such as a
+file format's header layout, belongs to its module: another module that
+needs it calls that module's functions instead of repeating its logic.
 """
 
 import ast
@@ -94,3 +97,52 @@ def test_private_name_scan_reports_only_unreferenced():
 def test_no_unreferenced_private_names():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert unreferenced_private_names(sources) == []
+
+
+def _private_constants(tree) -> set:
+    """The module-level private names a module binds by assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def foreign_private_constants(sources: dict) -> list:
+    """'module: other.name' for each private constant of another module of
+    `sources` (module name -> source) that a module imports by name, as in
+    `from .other import _NAME`, or reads off an imported module, as in
+    `from . import other` then `other._NAME`."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    constants = {module: _private_constants(tree) for module, tree in trees.items()}
+    found = set()
+    for module, tree in trees.items():
+        aliases = {}  # local name -> package module, for `from . import other`
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module in constants and alias.name in constants[node.module]:
+                        found.add(f"{module}: {node.module}.{alias.name}")
+                    elif node.module is None and alias.name in constants:
+                        aliases[alias.asname or alias.name] = alias.name
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.attr in constants.get(aliases.get(node.value.id), ())):
+                found.add(f"{module}: {aliases[node.value.id]}.{node.attr}")
+    return sorted(found)
+
+
+def test_private_constant_scan_reports_only_other_modules_constants():
+    sources = {
+        "core": "_HEADER = 1\n_LIMIT: int = 2\nPUBLIC = 3\n\ndef _read():\n    return _HEADER\n",
+        "net": ("from .core import _HEADER, _read, PUBLIC\nfrom . import core as c\n"
+                "x = c._LIMIT + c._read() + c.PUBLIC\n"),
+        "cli": "_OWN = 1\nfrom .net import x\ny = _OWN\n",
+    }
+    assert foreign_private_constants(sources) == ["net: core._HEADER", "net: core._LIMIT"]
+
+
+def test_no_module_reads_another_modules_private_constant():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert foreign_private_constants(sources) == []

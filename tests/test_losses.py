@@ -308,6 +308,24 @@ class TestCandidateSet:
         assert np.allclose(cs.losses[0].values, manual, atol=1e-12)
         assert cs.losses[0].shape == (n, k * h, k * w)
 
+    def test_offsets_off_the_sampler_grid_raise_shape_error(self):
+        # checked up front: unchecked, one offset row too many dies in numpy's
+        # broadcast_to while the corner coordinates are built
+        u = np.zeros((1, 2, 1, 1))
+        labels = LabelMap(np.zeros((1, 2, 2), int), 2)
+        off = OffsetField.zeros(1, 1, 3, 2)
+        with pytest.raises(ShapeError, match="offset dims"):
+            build_candidate_set(u, off, 2, 1, labels, all_valid(np.zeros((1, 2, 2))))
+
+    def test_refined_loss_off_the_label_grid_raises_shape_error(self):
+        # checked up front: unchecked, at rest 2 one refined row too many dies
+        # in numpy's reshape while its blocks are pooled
+        u = np.zeros((1, 2, 1, 1))
+        labels = LabelMap(np.zeros((1, 4, 4), int), 2)
+        refined = all_valid(np.zeros((1, 5, 4)))
+        with pytest.raises(ShapeError, match="refined loss"):
+            build_candidate_set(u, OffsetField.zeros(1, 1, 2, 2), 2, 2, labels, refined)
+
 
 class TestThetaOpt:
     def test_refined_wins_when_smallest(self):

@@ -172,6 +172,13 @@ class TestConv:
         with pytest.raises(ShapeError):
             conv2d_forward(layer, np.zeros((1, 3, 2, 2)))
 
+    def test_backward_channel_mismatch_names_the_channels(self):
+        # checked before any work: a 1-channel patch would broadcast into
+        # every input channel's dW before dX failed in a numpy reshape
+        layer = ConvLayer(3, 2, 3, np.zeros((2, 3, 3, 3)), np.zeros(2))
+        with pytest.raises(ShapeError, match="input channels 1 != layer in_ch 3"):
+            conv2d_backward(layer, np.zeros((1, 1, 4, 4)), np.zeros((1, 2, 4, 4)))
+
     def test_kernel_size_validation(self):
         with pytest.raises(ValueError):
             ConvLayer(1, 1, 2, np.zeros((1, 1, 2, 2)), np.zeros(1))
@@ -705,6 +712,24 @@ class TestTraining:
             toy_config(**patch).validate()
         assert exc.value.field_name == key
 
+    @pytest.mark.parametrize("patch,key,message", [
+        ({"epochs": True}, "epochs", "must be of type int"),
+        ({"batch": 2.5}, "batch", "must be of type int"),
+        ({"num_classes": 3.0}, "classes", "must be of type int"),
+        ({"momentum": False}, "momentum", "must be of type float"),
+        ({"loss_kind": 3}, "loss", "must be of type str"),
+        ({"base_lr": float("inf")}, "lr", "must be a finite number"),
+        ({"lam": float("inf")}, "lambda", "must be a finite number"),
+        ({"gamma": float("nan")}, "gamma", "must be a finite number"),
+        ({"slope": 10**400}, "leaky_slope", "must be a finite number"),
+    ], ids=["bool-int", "float-int", "float-classes", "bool-float", "int-str",
+            "inf-lr", "inf-lambda", "nan", "int-beyond-float"])
+    def test_field_types_and_finite_floats_name_the_json_key(self, patch, key, message):
+        # the same field check ExperimentConfig runs on a JSON config
+        with pytest.raises(ConfigError) as exc:
+            toy_config(**patch)
+        assert exc.value.field_name == key and message in str(exc.value)
+
 
 def eval_samples(count, seed=0):
     """Toy-config samples with a fifth of the pixels IGNORE and sample 3 wholly so."""
@@ -866,6 +891,34 @@ class TestCheckpoint:
             save_checkpoint(path, net)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
+
+    def test_failed_load_changes_no_parameter(self, tmp_path):
+        source = build_net(3, 4, 6, 4, 2, 4, 1, 0.01, Rng(19), 1e-4)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, source)
+        raw = path.read_bytes()
+        # where each entry starts: after the manifest line, then after each header and payload
+        starts = [raw.index(b"\n") + 1]
+        for _, layer in source.named_layers():
+            for arr in (layer.weights, layer.bias):
+                starts.append(starts[-1] + 16 + 8 * arr.size)
+        assert starts.pop() == len(raw)
+        damaged = [raw[:start] for start in starts[1:]] + [raw[:-8]]
+        for start in starts:
+            bad = bytearray(raw)
+            bad[start] += 1  # the low byte of the entry's first dim (little-endian u32)
+            damaged.append(bytes(bad))
+        net = build_net(3, 4, 6, 4, 2, 4, 1, 0.01, Rng(20), 1e-4)
+
+        def state():
+            return [(layer.weights.tobytes(), layer.bias.tobytes()) for _, layer in net.named_layers()]
+
+        before = state()
+        for data in damaged:
+            path.write_bytes(data)
+            with pytest.raises(IOError):
+                load_checkpoint(path, net)
+            assert state() == before
 
     def test_starts_with_text_manifest(self, tmp_path):
         net = build_net(2, 3, 4, 4, 2, 2, 1, 0.01, Rng(14), 0.0)
