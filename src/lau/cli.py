@@ -21,7 +21,7 @@ import numpy as np
 
 from .checks import standard_suite
 from .core import ConfigError, atomic_write, read_tensor
-from .net import TrainConfig, _check_fields, _json_key, network_forward, save_checkpoint, train
+from .net import TrainConfig, _check_fields, _json_key, evaluate, network_forward, save_checkpoint, train
 from .samplers import (
     CORNERS,
     OffsetField,
@@ -94,6 +94,7 @@ class ExperimentConfig:
             ("image_size", self.image_size >= self.output_stride
              and self.image_size % self.output_stride == 0,
              f"must be a positive multiple of output_stride {self.output_stride}"),
+            ("image_size", self.image_size >= 3, "must be >= 3: the speckle rate needs 3x3 label maps"),
             ("noise_std", self.noise_std >= 0, "must be >= 0"),
             ("train_count", self.train_count >= 1, "must be >= 1"),
             ("val_count", self.val_count >= 1, "must be >= 1"),
@@ -198,28 +199,28 @@ def cmd_train(args) -> int:
     cfg = ExperimentConfig.from_json(_read_json(args.config))
     os.makedirs(args.out, exist_ok=True)
     train_set, val_set = cfg.datasets()
-    result = train(cfg.to_train_config(), train_set, val_set)
+    tc = cfg.to_train_config()
+    rows = ["epoch,split,loss,pixacc,miou,speckle\n"]
+    for epoch, net in enumerate(train(tc, train_set)):
+        for split, samples in (("train", train_set), ("val", val_set)):
+            m = evaluate(net, tc, samples)
+            rows.append(f"{epoch},{split},{_fmt(m['loss'])},{_fmt(m['pixacc'])},"
+                        f"{_fmt(m['miou'])},{_fmt(m['speckle'])}\n")
     metrics_path = os.path.join(args.out, "metrics.csv")
     with atomic_write(metrics_path) as fh:
-        fh.write("epoch,split,loss,pixacc,miou,speckle\n")
-        for row in result.metrics:
-            fh.write(
-                f"{row['epoch']},{row['split']},{_fmt(row['loss'])},"
-                f"{_fmt(row['pixacc'])},{_fmt(row['miou'])},{_fmt(row['speckle'])}\n"
-            )
-    save_checkpoint(os.path.join(args.out, "checkpoint.bin"), result.net)
+        fh.writelines(rows)
+    save_checkpoint(os.path.join(args.out, "checkpoint.bin"), net)
     for i in range(min(4, len(val_set))):
-        logits, _ = network_forward(result.net, val_set[i].features)
+        logits, _ = network_forward(net, val_set[i].features)
         write_ppm(os.path.join(args.out, f"pred_{i}.ppm"), np.argmax(logits[0], axis=0))
         write_ppm(os.path.join(args.out, f"gt_{i}.ppm"), val_set[i].labels.labels[0])
-    final = result.metrics[-1]
     print(f"metrics written to {metrics_path}")
-    print(f"final val: loss={final['loss']:.4f} pixacc={final['pixacc']:.4f} miou={final['miou']:.4f}")
+    print(f"final val: loss={m['loss']:.4f} pixacc={m['pixacc']:.4f} miou={m['miou']:.4f}")
     return 0
 
 
 def _sweep_point(task):
-    """One sweep run; module-level so process pools can pickle it."""
+    """One sweep run, evaluated once, on the final val split; module-level so process pools can pickle it."""
     base_json, param, value, seed = task
     obj = dict(base_json)
     obj["seed"] = seed
@@ -232,10 +233,11 @@ def _sweep_point(task):
     try:
         cfg = ExperimentConfig.from_json(obj)
         train_set, val_set = cfg.datasets()
-        result = train(cfg.to_train_config(), train_set, val_set)
+        tc = cfg.to_train_config()
+        *_, net = train(tc, train_set)
+        final = evaluate(net, tc, val_set)
     except (ConfigError, ValueError, MemoryError) as exc:
         return (param, value, seed, None, None, str(exc))
-    final = [r for r in result.metrics if r["split"] == "val"][-1]
     return (param, value, seed, final["miou"], final["pixacc"], None)
 
 

@@ -45,7 +45,6 @@ __all__ = [
     "OffsetPredictor",
     "SegNet",
     "TrainConfig",
-    "TrainResult",
     "build_net",
     "conv2d_backward",
     "conv2d_forward",
@@ -204,6 +203,8 @@ class OffsetPredictor:
     slope: float
 
     def __post_init__(self):
+        if self.reduce.out_ch != self.expand.in_ch:
+            raise ShapeError(f"reduce out_ch {self.reduce.out_ch} != expand in_ch {self.expand.in_ch}")
         want = 2 * self.groups * self.ratio * self.ratio
         if self.expand.out_ch != want:
             raise ShapeError(f"expand out_ch {self.expand.out_ch} != 2*m*k^2 = {want}")
@@ -255,6 +256,18 @@ class SegNet:
     lau_ratio: int
     total_ratio: int
     slope: float
+
+    def __post_init__(self):
+        """Raise ShapeError unless each layer takes the channels the one before it gives."""
+        layers = dict(self.named_layers())
+        links = [("conv1", "conv2"), ("conv2", "head")]
+        if self.predictor is not None:
+            links.append(("conv2", "reduce"))
+            if self.predictor.ratio != self.lau_ratio:
+                raise ShapeError(f"predictor ratio {self.predictor.ratio} != lau_ratio {self.lau_ratio}")
+        for src, dst in links:
+            if layers[src].out_ch != layers[dst].in_ch:
+                raise ShapeError(f"{src} out_ch {layers[src].out_ch} != {dst} in_ch {layers[dst].in_ch}")
 
     def named_layers(self):
         layers = [("conv1", self.conv1), ("conv2", self.conv2), ("head", self.head)]
@@ -453,12 +466,6 @@ class TrainConfig:
         need(0 <= self.slope < 1, "slope", "must be in [0, 1)")
 
 
-@dataclass
-class TrainResult:
-    net: SegNet
-    metrics: list  # rows: dict(epoch, split, loss, pixacc, miou, speckle)
-
-
 def _batches(count: int, batch: int):
     return [(i, min(i + batch, count)) for i in range(0, count, batch)]
 
@@ -547,6 +554,8 @@ def evaluate(net: SegNet, cfg: TrainConfig, samples) -> dict:
     of _EVAL_CHUNK samples, whose loss maps it concatenates before the
     reduction, so the result does not depend on the chunk size.
     """
+    if not samples:
+        raise ValueError("evaluate needs at least one sample")
     loss_sum = 0.0
     loss_count = 0
     preds = []
@@ -575,8 +584,12 @@ def evaluate(net: SegNet, cfg: TrainConfig, samples) -> dict:
     }
 
 
-def train(cfg: TrainConfig, train_samples, val_samples) -> TrainResult:
-    """Run the configured training loop; deterministic given cfg.seed."""
+def train(cfg: TrainConfig, train_samples):
+    """Run the configured training loop; yield the same SegNet, updated in place, after each epoch.
+
+    Deterministic given cfg.seed. evaluate reads no RNG and writes no
+    parameter, so evaluating between epochs leaves the run unchanged.
+    """
     if not train_samples:
         raise ConfigError("train_count", "empty training set")
     rng = Rng(cfg.seed)
@@ -586,10 +599,9 @@ def train(cfg: TrainConfig, train_samples, val_samples) -> TrainResult:
     velocities = [np.zeros_like(p) for p in params]
     batches = _batches(len(train_samples), cfg.batch)
     total = cfg.epochs * len(batches)
-    metrics = []
     it = 0
     order = list(range(len(train_samples)))
-    for epoch in range(cfg.epochs):
+    for _ in range(cfg.epochs):
         rng.shuffle(order)
         for lo, hi in batches:
             idx = order[lo:hi]
@@ -599,11 +611,7 @@ def train(cfg: TrainConfig, train_samples, val_samples) -> TrainResult:
             lr = poly_lr(cfg.base_lr, it, total, cfg.power)
             sgd_step(params, grads, velocities, lr, cfg.momentum, decays)
             it += 1
-        for split, samples in (("train", train_samples), ("val", val_samples)):
-            row = {"epoch": epoch, "split": split}
-            row.update(evaluate(net, cfg, samples))
-            metrics.append(row)
-    return TrainResult(net, metrics)
+        yield net
 
 
 # ---------------------------------------------------------------------------

@@ -75,13 +75,13 @@ def gen_sample(seed: int, index: int, height: int, width: int, num_classes: int,
                stride: int, noise_std: float) -> SynthSample:
     """Sample `index` of the dataset keyed by `seed`; order-independent.
 
-    Raises ValueError naming the argument when num_classes < 2, stride < 1,
-    height or width is not a positive multiple of stride, or noise_std is
-    not finite and >= 0, and when no label map with two classes turns up in
-    MAX_REDRAWS draws.
+    Raises ValueError naming the argument when num_classes < 2 or beyond
+    int64 labels, stride < 1, height or width is not a positive multiple of
+    stride, or noise_std is not finite and >= 0, and when no label map with
+    two classes turns up in MAX_REDRAWS draws.
     """
-    if num_classes < 2:
-        raise ValueError(f"num_classes must be >= 2, got {num_classes}")
+    if not 2 <= num_classes < 2**63:
+        raise ValueError(f"num_classes must be >= 2 and fit int64 labels, got {num_classes}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     for name, size in (("height", height), ("width", width)):

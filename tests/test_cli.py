@@ -11,6 +11,7 @@ from dataclasses import FrozenInstanceError, fields
 import numpy as np
 import pytest
 
+import lau.cli
 from lau.cli import ExperimentConfig, main, write_ppm
 from lau.core import ConfigError, write_tensor
 from lau.samplers import pixel_shuffle
@@ -102,6 +103,15 @@ class TestConfig:
             ExperimentConfig.from_json(obj)
         assert field in str(exc.value)
 
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_image_size_below_3_names_the_key(self, tmp_path, capsys, size):
+        # a 2x2 run trained a whole epoch, then died in speckle_rate's "need at least 3x3 maps"
+        cfg = write_config(tmp_path, image_size=size, output_stride=1, lau_ratio=1)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid config - ") and "image_size" in err and ">= 3" in err, err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("key,value", [("lambda", "0.3"), ("lr", None), ("epochs", 1.5), ("loss", 3)])
     def test_wrong_type_names_the_field(self, key, value):
         obj = dict(TINY, **{key: value})
@@ -165,6 +175,12 @@ class TestDemo:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:") and named in proc.stderr, proc.stderr
 
+    def test_class_count_beyond_int64_fails_cleanly(self, tmp_path, capsys):
+        # found by the demo property: an OverflowError escaped main
+        assert main(["demo", "--classes", str(10**30), "--size", "8", "--out", str(tmp_path / "d")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: num_classes") and err.count("\n") == 1, err
+
     def test_corner_variant_runs(self, tmp_path):
         out = tmp_path / "c"
         assert main(["demo", "--upsampler", "corner-fc", "--ratio", "2",
@@ -214,10 +230,27 @@ class TestTrainCommand:
         assert outputs[0] == outputs[1]
 
     def test_single_pixel_images_fail_cleanly(self, tmp_path):
+        # refused by the config check, before gen_sample's label-map redraws
         cfg = write_config(tmp_path, image_size=1, output_stride=1, lau_ratio=1)
         proc = run_cli(["train", "--config", cfg, "--out", str(tmp_path / "x")])
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error:") and "two classes" in proc.stderr, proc.stderr
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("invalid config - image_size") and ">= 3" in proc.stderr, proc.stderr
+
+    def test_evaluates_both_splits_after_every_epoch(self, tmp_path, monkeypatch):
+        # train split then val split, on the parameters each epoch left
+        calls = []
+
+        def evaluate(net, cfg, samples):
+            calls.append((len(samples), net.conv1.weights.tobytes()))
+            return real_evaluate(net, cfg, samples)
+
+        real_evaluate = lau.cli.evaluate
+        monkeypatch.setattr(lau.cli, "evaluate", evaluate)
+        cfg = write_config(tmp_path, epochs=3)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+        assert [n for n, _ in calls] == [TINY["train_count"], TINY["val_count"]] * 3
+        weights = [w for _, w in calls]
+        assert weights[0::2] == weights[1::2] and len(set(weights)) == 3
 
     @pytest.mark.parametrize("key", FLOAT_KEYS)
     def test_non_finite_float_names_the_key(self, tmp_path, capsys, key):
@@ -332,6 +365,24 @@ class TestSweepCommand:
         sweep_row = (out_s / "sweep.csv").read_text().strip().split("\n")[1].split(",")
         assert sweep_row[3] == final_val[4]  # miou
         assert sweep_row[4] == final_val[3]  # pixacc
+
+    def test_point_evaluates_the_final_val_split_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def evaluate(net, cfg, samples):
+            calls.append(len(samples))
+            return real_evaluate(net, cfg, samples)
+
+        real_evaluate = lau.cli.evaluate
+        monkeypatch.setattr(lau.cli, "evaluate", evaluate)
+        cfg = write_config(tmp_path, epochs=2, train_count=4, val_count=2)
+        assert main(["sweep", "--param", "lambda", "--values", "0.3",
+                     "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+        assert calls == [2]
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "t")]) == 0
+        final_val = (tmp_path / "t" / "metrics.csv").read_text().strip().split("\n")[-1].split(",")
+        sweep_row = (tmp_path / "s" / "sweep.csv").read_text().strip().split("\n")[1].split(",")
+        assert sweep_row[3:] == [final_val[4], final_val[3]]  # miou, pixacc
 
     def test_parallel_matches_sequential(self, tmp_path, monkeypatch):
         # one usable CPU runs the points in-process, two run them in a pool

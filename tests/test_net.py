@@ -71,6 +71,11 @@ def net_for(cfg):
     return lau.net.net_for(cfg, Rng(cfg.seed))
 
 
+def param_bytes(net) -> bytes:
+    """Every parameter's bytes, layer by layer."""
+    return b"".join(arr.tobytes() for _, layer in net.named_layers() for arr in (layer.weights, layer.bias))
+
+
 # (train config, side of the conv input) for every configuration the
 # acceptance suite trains or checks; bilinear/ce uses a subset of the
 # default layers.
@@ -260,10 +265,44 @@ class TestOffsetPredictor:
                 ratio=2, groups=1, slope=0.01,
             )
 
+    def test_reduce_expand_channel_mismatch_raises_shape_error(self):
+        # built before, and failed only at the first forward, inside the expand conv
+        rng = Rng(3)
+        with pytest.raises(ShapeError, match=re.escape("reduce out_ch 2 != expand in_ch 5")):
+            OffsetPredictor(ConvLayer.init(3, 2, 1, rng), ConvLayer.init(5, 8, 3, rng), 2, 1, 0.1)
+
     def test_offset_branch_carries_no_weight_decay(self):
         pred = OffsetPredictor.init(6, 4, 2, 1, 0.01, Rng(4))
         assert pred.reduce.weight_decay == 0.0
         assert pred.expand.weight_decay == 0.0
+
+
+class TestSegNetChannels:
+    @staticmethod
+    def parts(**changes):
+        """The layers of build_net(3, 3, 6, 4, 2, 4, ...) as SegNet arguments, some replaced."""
+        net = build_net(3, 3, 6, 4, 2, 4, 1, 0.01, Rng(0), 1e-4)
+        parts = dict(conv1=net.conv1, conv2=net.conv2, head=net.head, predictor=net.predictor,
+                     lau_ratio=2, total_ratio=4, slope=0.01)
+        parts.update(changes)
+        return parts
+
+    def test_consistent_layers_build(self):
+        SegNet(**self.parts())
+        SegNet(**self.parts(predictor=None))
+
+    @pytest.mark.parametrize("changes, message", [
+        (dict(conv2=ConvLayer.init(5, 6, 3, Rng(1))), "conv1 out_ch 6 != conv2 in_ch 5"),
+        (dict(conv2=ConvLayer.init(6, 4, 3, Rng(1))), "conv2 out_ch 4 != head in_ch 6"),
+        (dict(head=ConvLayer.init(4, 3, 1, Rng(1))), "conv2 out_ch 6 != head in_ch 4"),
+        (dict(predictor=OffsetPredictor.init(5, 4, 2, 1, 0.01, Rng(1))), "conv2 out_ch 6 != reduce in_ch 5"),
+        (dict(predictor=OffsetPredictor.init(6, 4, 4, 1, 0.01, Rng(1)), total_ratio=8),
+         "predictor ratio 4 != lau_ratio 2"),
+    ], ids=["conv1-conv2", "conv2-head", "head", "conv2-reduce", "predictor-ratio"])
+    def test_layer_chain_mismatch_raises_shape_error(self, changes, message):
+        # each of these built before, and a channel mismatch failed only at the first forward
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            SegNet(**self.parts(**changes))
 
 
 class TestToyDecoder:
@@ -646,17 +685,23 @@ class TestTraining:
         val_set = [gen_sample(cfg.seed + 999, i, *args) for i in range(val)]
         return train_set, val_set
 
+    def metrics(self, cfg, tr, va):
+        """The per-epoch rows `lau train` writes: both splits evaluated after every epoch."""
+        return [dict(epoch=epoch, split=split, **evaluate(net, cfg, samples))
+                for epoch, net in enumerate(train(cfg, tr))
+                for split, samples in (("train", tr), ("val", va))]
+
     def test_deterministic_trajectories(self):
         cfg = toy_config(loss_kind="off")
         tr, va = self.make_data(cfg)
-        m1 = train(cfg, tr, va).metrics
-        m2 = train(cfg, tr, va).metrics
+        m1 = self.metrics(cfg, tr, va)
+        m2 = self.metrics(cfg, tr, va)
         assert m1 == m2
 
     def test_lambda_zero_matches_plain_ce(self):
         tr, va = self.make_data(toy_config())
-        m_off = train(toy_config(loss_kind="off", lam=0.0), tr, va).metrics
-        m_ce = train(toy_config(loss_kind="ce"), tr, va).metrics
+        m_off = self.metrics(toy_config(loss_kind="off", lam=0.0), tr, va)
+        m_ce = self.metrics(toy_config(loss_kind="ce"), tr, va)
         for a, b in zip(m_off, m_ce):
             assert a["pixacc"] == b["pixacc"] and a["miou"] == b["miou"]
             assert a["loss"] == pytest.approx(b["loss"], abs=1e-12)
@@ -665,32 +710,58 @@ class TestTraining:
         cfg = toy_config(epochs=1, batch=8, loss_kind="ce", base_lr=1e-3, momentum=0.0)
         tr, _ = self.make_data(cfg, count=8)
         before = evaluate(net_for(cfg), cfg, tr)["loss"]
-        after = train(cfg, tr, tr).metrics[0]["loss"]
+        after = self.metrics(cfg, tr, tr)[0]["loss"]
         assert after < before
 
     def test_reg_loss_trains(self):
         cfg = toy_config(loss_kind="reg", epochs=1)
         tr, va = self.make_data(cfg)
-        metrics = train(cfg, tr, va).metrics
+        metrics = self.metrics(cfg, tr, va)
         assert len(metrics) == 2
         assert np.isfinite(metrics[-1]["loss"])
 
     def test_bilinear_baseline_trains(self):
         cfg = toy_config(upsampler="bilinear", loss_kind="ce", epochs=1)
         tr, va = self.make_data(cfg)
-        metrics = train(cfg, tr, va).metrics
+        metrics = self.metrics(cfg, tr, va)
         assert len(metrics) == 2
 
     def test_invalid_ratio_rejected_before_training(self):
-        tr, va = self.make_data(toy_config())
+        tr, _ = self.make_data(toy_config())
         with pytest.raises(ConfigError) as exc:
-            train(toy_config(lau_ratio=3), tr, va)
+            train(toy_config(lau_ratio=3), tr)
         assert "lau_ratio" in str(exc.value)
 
     def test_negative_lambda_rejected(self):
-        tr, va = self.make_data(toy_config())
+        tr, _ = self.make_data(toy_config())
         with pytest.raises(ConfigError):
-            train(toy_config(lam=-0.1), tr, va)
+            train(toy_config(lam=-0.1), tr)
+
+    def test_yields_one_net_per_epoch_updated_in_place(self):
+        cfg = toy_config(epochs=3)
+        tr, _ = self.make_data(cfg)
+        nets = [(net, param_bytes(net)) for net in train(cfg, tr)]
+        assert len(nets) == 3 and all(net is nets[0][0] for net, _ in nets)
+        assert len({params for _, params in nets}) == 3
+
+    @pytest.mark.parametrize("setup", [
+        dict(loss_kind="off"), dict(loss_kind="reg"), dict(loss_kind="off", offset_groups=3),
+        dict(upsampler="bilinear", loss_kind="ce"),
+    ], ids=["lau/off", "lau/reg", "lau/off/m=classes", "bilinear/ce"])
+    def test_evaluating_between_epochs_leaves_the_parameters_byte_equal(self, setup):
+        cfg = toy_config(epochs=3, **setup)
+        tr, va = self.make_data(cfg)
+        evaluated = []
+        for net in train(cfg, tr):
+            evaluate(net, cfg, tr)
+            evaluate(net, cfg, va)
+            evaluated.append(param_bytes(net))
+        assert [param_bytes(net) for net in train(cfg, tr)] == evaluated
+
+    def test_empty_training_set_names_train_count(self):
+        with pytest.raises(ConfigError) as exc:
+            next(train(toy_config(), []))
+        assert exc.value.field_name == "train_count"
 
     def test_config_cannot_change(self):
         cfg = toy_config()
@@ -788,6 +859,14 @@ class TestEvaluate:
         evaluate(self.net(cfg), cfg, eval_samples(70))
         assert max(sizes) <= 8 and sum(sizes) == 70
         assert reduced == [(64, 16, 16), (6, 16, 16)]
+
+    def test_no_samples_raise_value_error_before_any_forward(self, monkeypatch):
+        # numpy's "need at least one array to concatenate" escaped before
+        cfg = toy_config()
+        net = net_for(cfg)
+        monkeypatch.setattr(lau.net, "network_forward", None)
+        with pytest.raises(ValueError, match="at least one sample"):
+            evaluate(net, cfg, [])
 
     @pytest.mark.parametrize("upsampler, loss", [("lau", "off"), ("lau", "reg"), ("bilinear", "ce")])
     def test_default_config_peak_memory_is_bounded(self, upsampler, loss):

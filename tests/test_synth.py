@@ -71,6 +71,15 @@ class TestGenerator:
         with pytest.raises(ValueError, match=name):
             gen_sample(0, 0, *args)
 
+    @pytest.mark.parametrize("classes", [2**63, 10**30])
+    def test_class_count_beyond_int64_labels_is_rejected_before_any_draw(self, classes, monkeypatch):
+        # a rectangle's class was assigned into the int64 label map as an OverflowError
+        import lau.synth as synth
+
+        monkeypatch.setattr(synth, "_draw_labels", None)
+        with pytest.raises(ValueError, match="num_classes"):
+            gen_sample(0, 0, 8, 8, classes, 2, 0.25)
+
     def test_redraws_are_bounded(self, monkeypatch):
         # a 1x1 map holds one class whatever is drawn
         import lau.synth as synth
