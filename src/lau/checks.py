@@ -19,9 +19,9 @@ margins (1e-3 in coordinate space, 1e-4 in loss space) keep every probe on
 one smooth piece. After 100 rejections in a row, of a case or of its
 offset field, the suite raises RuntimeError instead of looping on.
 
-Probe scalars are reduced with exact summation (math.fsum): at step 1e-6
-ordinary float64 accumulation over a few hundred terms already costs more
-relative error than the 1e-5 tolerance leaves room for.
+Every op suite checks at FD_STEP to FD_TOLERANCE, the regime FD_FLOOR and
+the margins are derived for. Probe scalars are summed exactly (math.fsum): a
+float64 sum of a few hundred terms costs more than FD_TOLERANCE leaves.
 """
 
 from __future__ import annotations
@@ -67,11 +67,13 @@ __all__ = [
 COORD_MARGIN = 1e-3
 BRANCH_MARGIN = 1e-4
 MAX_REJECTIONS = 100
-# Smallest nonzero derivative a float64 central difference at h=1e-6 can
-# certify to 1e-5 relative error: the two probe evaluations each carry
-# ~1e-15 rounding on the affected elements, i.e. ~1e-9 after dividing by
-# 2h. Components below the floor are pure noise measurements; exact zeros
-# are fine (both probes then agree bit for bit).
+FD_STEP = 1e-6
+FD_TOLERANCE = 1e-5
+# Smallest nonzero derivative a float64 central difference at FD_STEP can
+# certify to FD_TOLERANCE: the two probe evaluations each carry ~1e-15
+# rounding on the affected elements, i.e. ~1e-9 after dividing by 2 *
+# FD_STEP. Components below the floor are pure noise measurements; exact
+# zeros are fine (both probes then agree bit for bit).
 FD_FLOOR = 2e-4
 
 
@@ -103,7 +105,7 @@ def _np_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _suite(subject: str, draw, seed: int, cases: int, h: float, tolerance: float) -> GradcheckReport:
+def _suite(subject: str, draw, seed: int, cases: int) -> GradcheckReport:
     """FD-check `cases` accepted draws; draw(rng) gives (fn, point) or None."""
     rng = _np_rng(seed)
     failures = []
@@ -115,7 +117,7 @@ def _suite(subject: str, draw, seed: int, cases: int, h: float, tolerance: float
                 break
         else:
             raise RuntimeError(f"{subject}: {MAX_REJECTIONS} draws in a row sat too close to a kink")
-        rep = gradcheck(case[0], [case[1]], h=h, tolerance=tolerance)
+        rep = gradcheck(case[0], [case[1]], FD_STEP, FD_TOLERANCE)
         max_rel = max(max_rel, rep.max_rel_err)
         failures += rep.failures
     return GradcheckReport(subject, cases, max_rel, failures)
@@ -164,9 +166,9 @@ def _lau_draw(rng):
     return fn, _flat(u, off.dx, off.dy)
 
 
-def lau_gradcheck(seed: int = 0, cases: int = 100, h: float = 1e-6, tolerance: float = 1e-5) -> GradcheckReport:
+def lau_gradcheck(seed: int = 0, cases: int = 100) -> GradcheckReport:
     """Check dU and the offset gradients of the refined sampler against FD."""
-    return _suite("lau_backward", _lau_draw, seed, cases, h, tolerance)
+    return _suite("lau_backward", _lau_draw, seed, cases)
 
 
 def _conv_draw(rng):
@@ -192,9 +194,9 @@ def _conv_draw(rng):
     return fn, _flat(x, w, b)
 
 
-def conv_gradcheck(seed: int = 0, cases: int = 20, h: float = 1e-6, tolerance: float = 1e-5) -> GradcheckReport:
+def conv_gradcheck(seed: int = 0, cases: int = 20) -> GradcheckReport:
     """Check conv input/weight/bias gradients against FD."""
-    return _suite("conv2d_backward", _conv_draw, seed, cases, h, tolerance)
+    return _suite("conv2d_backward", _conv_draw, seed, cases)
 
 
 def _guided_draw(rng):
@@ -208,7 +210,7 @@ def _guided_draw(rng):
     labels = LabelMap(raw, c)
     ce = cross_entropy_map(logits, labels)
     ce_aux = cross_entropy_map(aux_logits, labels)
-    if (np.abs(ce.values - ce_aux.values)[labels.valid] <= BRANCH_MARGIN).any():
+    if not _guided_margins_ok(ce, ce_aux, labels):
         return None
 
     def fn(vec):
@@ -219,13 +221,17 @@ def _guided_draw(rng):
     return fn, logits.ravel()
 
 
-def guided_loss_gradcheck(seed: int = 0, cases: int = 20, h: float = 1e-6, tolerance: float = 1e-5) -> GradcheckReport:
+def guided_loss_gradcheck(seed: int = 0, cases: int = 20) -> GradcheckReport:
     """FD check of the guided loss gradient w.r.t. the logits.
 
     The comparison weight is constant on each smooth piece, so away from
     switching points the analytic gradient is weight * plain CE gradient.
     """
-    return _suite("offset_guided_loss", _guided_draw, seed, cases, h, tolerance)
+    return _suite("offset_guided_loss", _guided_draw, seed, cases)
+
+
+def _guided_margins_ok(ce, ce_aux, labels) -> bool:  # the guided weight switches where the two CEs cross
+    return not (np.abs(ce.values - ce_aux.values)[labels.valid] <= BRANCH_MARGIN).any()
 
 
 def _candidate_margins_ok(cs) -> bool:
@@ -274,14 +280,14 @@ def _regression_draw(rng):
     return fn, _flat(off.dx, off.dy)
 
 
-def regression_loss_gradcheck(seed: int = 0, cases: int = 20, h: float = 1e-6, tolerance: float = 1e-5) -> GradcheckReport:
+def regression_loss_gradcheck(seed: int = 0, cases: int = 20) -> GradcheckReport:
     """FD check of the regression loss gradient w.r.t. the offsets.
 
     Gradient reaches the offsets on two paths: through the refined sampler
     into the weighted cross-entropy term, and directly through the
     smooth-L1 pull toward the selected candidate.
     """
-    return _suite("regression_loss", _regression_draw, seed, cases, h, tolerance)
+    return _suite("regression_loss", _regression_draw, seed, cases)
 
 
 def _toy_config(loss_kind: str, seed: int) -> TrainConfig:
@@ -333,9 +339,8 @@ def _network_instance(seed: int, loss_kind: str):
         if not _coords_safe(cache["off"], cfg.lau_ratio):
             continue
         if loss_kind == "off":
-            ce = cross_entropy_map(logits, labels)
             ce_aux = _bilinear_ce(cache["u"], cfg.lau_ratio, cache["rest"], labels)
-            if (np.abs(ce.values - ce_aux.values)[labels.valid] <= BRANCH_MARGIN).any():
+            if not _guided_margins_ok(cross_entropy_map(logits, labels), ce_aux, labels):
                 continue
         if loss_kind == "reg":
             cs = build_candidate_set(cache["u"], cache["off"], cfg.lau_ratio, cache["rest"], labels,
@@ -362,11 +367,6 @@ def network_gradcheck(seed: int = 0, loss_kind: str = "ce") -> GradcheckReport:
     return rep
 
 
-def standard_suite(seed: int = 0, h: float = 1e-6, tolerance: float = 1e-5):
+def standard_suite(seed: int = 0):
     """The suite behind the gradcheck command: sampler, conv, and both losses."""
-    return [
-        lau_gradcheck(seed, cases=100, h=h, tolerance=tolerance),
-        conv_gradcheck(seed, cases=20, h=h, tolerance=tolerance),
-        guided_loss_gradcheck(seed, cases=20, h=h, tolerance=tolerance),
-        regression_loss_gradcheck(seed, cases=20, h=h, tolerance=tolerance),
-    ]
+    return [lau_gradcheck(seed), conv_gradcheck(seed), guided_loss_gradcheck(seed), regression_loss_gradcheck(seed)]

@@ -25,6 +25,7 @@ from .net import TrainConfig, _check_fields, _json_key, evaluate, network_forwar
 from .samplers import (
     CORNERS,
     OffsetField,
+    _check_ratio,
     bilinear_upsample,
     corner_upsample,
     lau_forward,
@@ -152,7 +153,7 @@ def _fmt(v: float) -> str:
 # subcommands
 
 def cmd_gradcheck(args) -> int:
-    reports = standard_suite(seed=args.seed, h=args.h, tolerance=args.tolerance)
+    reports = standard_suite(args.seed)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "gradcheck.csv")
     with atomic_write(path) as fh:
@@ -179,9 +180,9 @@ def cmd_demo(args) -> int:
         u = sample.features
     if args.upsampler == "bilinear":
         v = bilinear_upsample(u, k)
-    elif args.upsampler == "lau":
-        off = OffsetField.zeros(u.shape[0], 1, k * u.shape[2], k * u.shape[3])
-        v = lau_forward(u, off, k)
+    elif args.upsampler == "lau":  # the zero offsets' shape needs a checked ratio
+        k = _check_ratio(k)
+        v = lau_forward(u, OffsetField.zeros(u.shape[0], 1, k * u.shape[2], k * u.shape[3]), k)
     elif args.upsampler == "pixelshuffle":
         v = pixel_shuffle(u, k)
     else:
@@ -261,6 +262,12 @@ def cmd_sweep(args) -> int:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
+        # A worker re-running a script with no __main__ guard, still importing it,
+        # stops here with one line: a pool of its own would leave semaphores, or a
+        # traceback, for the parent to cut off when it kills its broken pool.
+        if getattr(multiprocessing.current_process(), "_inheriting", False):
+            print("error: a sweep worker cannot start a pool of its own", file=sys.stderr)
+            return 1
         try:
             with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
                 # workers start at submit and load numpy with one BLAS thread each
@@ -302,19 +309,17 @@ def cmd_sweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lau", description="location-aware upsampling experiments"
-    )
+    # allow_abbrev=False: flags are spelled out, so no prefix stands for a flag (--h for --help)
+    parser = argparse.ArgumentParser(prog="lau", description="location-aware upsampling experiments",
+                                     allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gradcheck", help="finite-difference checks of every backward pass")
+    p = sub.add_parser("gradcheck", help="finite-difference checks of every backward pass", allow_abbrev=False)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--h", type=float, default=1e-6, help="finite-difference step")
-    p.add_argument("--tolerance", type=float, default=1e-5)
     p.add_argument("--out", default=".", help="directory for gradcheck.csv")
     p.set_defaults(fn=cmd_gradcheck)
 
-    p = sub.add_parser("demo", help="upsample a feature map and dump label images")
+    p = sub.add_parser("demo", help="upsample a feature map and dump label images", allow_abbrev=False)
     p.add_argument("--upsampler", default="bilinear",
                    choices=["bilinear", "lau", "pixelshuffle"] + sorted(_CORNER_NAMES))
     p.add_argument("--ratio", type=int, default=2)
@@ -325,12 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=32, help="synthetic image size when no --in")
     p.set_defaults(fn=cmd_demo)
 
-    p = sub.add_parser("train", help="train on the synthetic benchmark")
+    p = sub.add_parser("train", help="train on the synthetic benchmark", allow_abbrev=False)
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("sweep", help="one training run per parameter value")
+    p = sub.add_parser("sweep", help="one training run per parameter value", allow_abbrev=False)
     p.add_argument("--param", required=True, choices=["lambda", "ratio"])
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--config", required=True)

@@ -629,7 +629,7 @@ class GradcheckReport:
         return not self.failures
 
 
-def gradcheck(fn, points, h: float = 1e-6, tolerance: float = 1e-5) -> GradcheckReport:
+def gradcheck(fn, points, h: float, tolerance: float) -> GradcheckReport:
     """Compare fn's analytic gradient with central differences at each point.
 
     fn maps a flat float64 vector x to (scalar value, grad_fn), where
@@ -637,12 +637,12 @@ def gradcheck(fn, points, h: float = 1e-6, tolerance: float = 1e-5) -> Gradcheck
     right after fn(point) and before the next fn call (fn may keep state,
     as network_gradcheck does by setting the net's parameters in place);
     the 2 * x.size probes read only the value and never call it. The
-    relative error is |a - n| / max(1e-8, |a| + |n|); entries above the
-    tolerance are recorded as failures, never raised. The step h must be
-    finite and > 0 and the tolerance > 0, else ValueError.
+    relative error is |a - n| / max(1e-8, |a| + |n|), at most 1; entries
+    above the tolerance are recorded as failures, never raised. The step h
+    must be finite and > 0 and the tolerance in (0, 1), else ValueError.
     """
-    if not (np.isfinite(h) and h > 0 and tolerance > 0):
-        raise ValueError(f"need a finite step h > 0 and tolerance > 0, got h={h}, tolerance={tolerance}")
+    if not (np.isfinite(h) and h > 0 and 0 < tolerance < 1):
+        raise ValueError(f"need a finite step h > 0 and 0 < tolerance < 1, got h={h}, tolerance={tolerance}")
     max_rel = 0.0
     failures = []
     for pi, x in enumerate(points):

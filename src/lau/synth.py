@@ -75,18 +75,22 @@ def gen_sample(seed: int, index: int, height: int, width: int, num_classes: int,
                stride: int, noise_std: float) -> SynthSample:
     """Sample `index` of the dataset keyed by `seed`; order-independent.
 
-    Raises ValueError naming the argument when num_classes < 2 or beyond
-    int64 labels, stride < 1, height or width is not a positive multiple of
-    stride, or noise_std is not finite and >= 0, and when no label map with
-    two classes turns up in MAX_REDRAWS draws.
+    Raises ValueError naming the argument when num_classes < 2 or too large
+    for a one-hot height x width map, stride < 1, height or width is not a
+    positive multiple of stride, or noise_std is not finite and >= 0, and
+    when no label map with two classes turns up in MAX_REDRAWS draws.
     """
-    if not 2 <= num_classes < 2**63:
-        raise ValueError(f"num_classes must be >= 2 and fit int64 labels, got {num_classes}")
+    if num_classes < 2:
+        raise ValueError(f"num_classes must be >= 2, got {num_classes}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     for name, size in (("height", height), ("width", width)):
         if size < stride or size % stride:
             raise ValueError(f"{name} must be a positive multiple of stride {stride}, got {size}")
+    # numpy cannot index larger one-hot maps and fails in its own terms
+    # (np.arange(2**63 - 1) is even empty); this also keeps labels in int64
+    if num_classes * height * width * 8 > np.iinfo(np.intp).max:
+        raise ValueError(f"num_classes {num_classes} x height {height} x width {width}: one-hot map too large")
     if not (math.isfinite(noise_std) and noise_std >= 0):
         raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
     rng = Rng(mix_seed(seed, index))

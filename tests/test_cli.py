@@ -1,5 +1,6 @@
 """CLI tests: config validation, command outputs, schemas, determinism."""
 
+import argparse
 import concurrent.futures
 import json
 import multiprocessing
@@ -12,9 +13,10 @@ import numpy as np
 import pytest
 
 import lau.cli
+import lau.net
 from lau.cli import ExperimentConfig, main, write_ppm
 from lau.core import ConfigError, write_tensor
-from lau.samplers import pixel_shuffle
+from lau.samplers import OffsetField, pixel_shuffle
 
 TINY = {
     "image_size": 16,
@@ -178,6 +180,23 @@ class TestDemo:
     def test_class_count_beyond_int64_fails_cleanly(self, tmp_path, capsys):
         # found by the demo property: an OverflowError escaped main
         assert main(["demo", "--classes", str(10**30), "--size", "8", "--out", str(tmp_path / "d")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: num_classes") and err.count("\n") == 1, err
+
+    def test_negative_ratio_on_a_dump_names_the_ratio(self, tmp_path, capsys):
+        # the lau path built its zero offsets from k * h before the sampler
+        # checked k: "error: negative dimensions are not allowed"
+        infile = tmp_path / "in.t4"
+        write_tensor(infile, np.zeros((1, 3, 4, 4)))
+        assert main(["demo", "--upsampler", "lau", "--in", str(infile), "--ratio", "-1",
+                     "--out", str(tmp_path / "d")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: upsampling ratio must be an integer >= 1") and err.count("\n") == 1, err
+
+    def test_class_count_beyond_numpy_arrays_names_num_classes(self, tmp_path, capsys):
+        # np.arange(2**63 - 1) is empty, so the majority pool died in
+        # "cannot reshape array of size 0 into shape (9223372036854775807,2,2,2,2)"
+        assert main(["demo", "--classes", str(2**63 - 1), "--size", "4", "--out", str(tmp_path / "d")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: num_classes") and err.count("\n") == 1, err
 
@@ -487,16 +506,78 @@ class TestGradcheckCommand:
     def test_seed_variation_same_verdict(self, tmp_path):
         assert main(["gradcheck", "--seed", "7", "--out", str(tmp_path)]) == 0
 
-    def test_coarse_step_reported_not_crashed(self, tmp_path):
-        rc = main(["gradcheck", "--h", "1e-2", "--out", str(tmp_path)])
-        assert rc in (0, 1)
-        assert (tmp_path / "gradcheck.csv").exists()
+    def test_skewed_offset_gradient_is_reported(self, tmp_path, monkeypatch, capsys):
+        # a lau_backward whose offset gradient is off by a relative 1e-3
+        # fails the command and is counted on its row of the report
+        import lau.checks
 
-    @pytest.mark.parametrize("flag, value", [("--h", "0"), ("--tolerance", "nan")])
-    def test_degenerate_step_or_tolerance_rejected(self, tmp_path, capsys, flag, value):
-        assert main(["gradcheck", flag, value, "--out", str(tmp_path)]) == 1
+        real = lau.checks.lau_backward
+
+        def skewed(*args):
+            du, doff = real(*args)
+            return du, OffsetField(doff.dx * (1 + 1e-3), doff.dy * (1 + 1e-3))
+
+        monkeypatch.setattr(lau.checks, "lau_backward", skewed)
+        assert main(["gradcheck", "--out", str(tmp_path)]) == 1
+        lines = (tmp_path / "gradcheck.csv").read_text().strip().split("\n")
+        failures = {l.split(",")[0]: int(l.split(",")[3]) for l in lines[1:]}
+        assert failures["lau_backward"] > 0
+        assert failures["conv2d_backward"] == 0 and failures["offset_guided_loss"] == 0
+        assert "lau_backward: 100 cases" in capsys.readouterr().out
+
+
+class TestKnobCensus:
+    """Every option and config key, listed: adding or removing one is a test edit."""
+
+    OPTIONS = {
+        "gradcheck": ["-h", "--help", "--seed", "--out"],
+        "demo": ["-h", "--help", "--upsampler", "--ratio", "--in", "--out", "--seed", "--classes", "--size"],
+        "train": ["-h", "--help", "--config", "--out"],
+        "sweep": ["-h", "--help", "--param", "--values", "--config", "--out", "--seeds"],
+    }
+    CONFIG_KEYS = [
+        "seed", "classes", "image_size", "output_stride", "lau_ratio", "lambda", "gamma", "loss",
+        "upsampler", "lr", "power", "momentum", "weight_decay", "epochs", "batch", "m_channels",
+        "hidden_channels", "leaky_slope", "noise_std", "train_count", "val_count",
+    ]
+
+    @staticmethod
+    def subparsers():
+        parser = lau.cli.build_parser()
+        (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return parser, action.choices
+
+    def test_options(self):
+        parser, commands = self.subparsers()
+        assert [s for a in parser._actions for s in a.option_strings] == ["-h", "--help"]
+        assert list(commands) == list(self.OPTIONS)
+        for name, sub in commands.items():
+            assert [s for a in sub._actions for s in a.option_strings] == self.OPTIONS[name], name
+        assert all(p.allow_abbrev is False for p in [parser, *commands.values()])
+
+    def test_config_keys(self):
+        assert [lau.net._json_key(f.name) for f in fields(ExperimentConfig)] == self.CONFIG_KEYS
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"]] + [[c, f] for c in OPTIONS for f in ("-h", "--help")],
+                             ids=" ".join)
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: lau")
+
+    @pytest.mark.parametrize("argv", [
+        ["gradcheck", "--h", "1e-6"],  # no step flag, and not read as --help
+        ["gradcheck", "--tolerance", "1"],  # no tolerance flag
+        ["train", "--conf", "c.json"],  # not read as --config
+    ], ids=["h", "tolerance", "prefix"])
+    def test_removed_or_abbreviated_flags_exit_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "d"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
-        assert not (tmp_path / "gradcheck.csv").exists()
+        assert not out.exists()
 
 
 class TestPpm:

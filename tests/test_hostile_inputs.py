@@ -5,14 +5,18 @@ that the call either succeeds or raises one of the errors the CLI reports as
 a single line (ConfigError, IOError, ShapeError, ValueError). Anything else,
 such as a TypeError, OverflowError or MemoryError, is a bug. The `lau demo`
 property runs the command itself and requires exit 0, 1 or 2 with at most one
-error line. The runs are derandomized with fixed example counts, so every run
-tries the same inputs.
+error line, and so do the `lau train` and `lau sweep` properties, on tiny
+configs; the `lau gradcheck` property draws only argument lists argparse
+refuses, since a valid run takes seconds. The runs are derandomized with
+fixed example counts, so every run tries the same inputs.
 """
 
 import contextlib
 import io
 import json
 import math
+import os
+from unittest import mock
 from dataclasses import fields
 
 import numpy as np
@@ -49,6 +53,22 @@ def clean_or_ok(call) -> None:
         call()
     except CLEAN_ERRORS:
         pass
+
+
+def run_main(argv):
+    """main's exit code, which must be 0, 1 or 2, and its stderr lines."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error, or -h
+            code = exc.code
+    assert code in (0, 1, 2) and "Traceback" not in err.getvalue(), (argv, code, err.getvalue())
+    return code, err.getvalue().splitlines()
+
+
+def error_lines(stderr: list) -> list:
+    return [line for line in stderr if "error:" in line or line.startswith("invalid config")]
 
 
 @settings(max_examples=200, **FIXED)
@@ -150,13 +170,90 @@ def test_demo_command_on_hostile_arguments(tmp_path_factory, data):
     if data.draw(st.integers(0, 3)) == 0:  # one flag garbled; argparse reads its last value
         flag = data.draw(st.sampled_from(sorted(flags)))
         argv.append(f"--{flag}={data.draw(st.text(max_size=6) if flag == 'upsampler' else NOT_INTS)}")
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's usage error
-            code = exc.code
-    lines = [line for line in err.getvalue().splitlines()
-             if "error:" in line or line.startswith("invalid config")]
-    assert code in (0, 1, 2) and len(lines) == (code != 0), (argv, code, err.getvalue())
-    assert "Traceback" not in err.getvalue(), argv
+    code, stderr = run_main(argv)
+    assert len(error_lines(stderr)) == (code != 0), (argv, code, stderr)
+
+
+# A two-sample, one-epoch run on 8x8 images. A drawn key value is small, or
+# refused by its type or range, so no draw can ask for a long run.
+TINY_RUN = {"image_size": 8, "output_stride": 4, "lau_ratio": 2, "classes": 2, "epochs": 1, "batch": 2,
+            "train_count": 2, "val_count": 1, "hidden_channels": 2, "seed": 1}
+key_values = (
+    st.integers(-2, 4)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([None, True, "ce", "off", "reg", "lau", "bilinear", "x", [], {}])
+)
+
+
+def _config_file(data, path) -> str:
+    """TINY_RUN with up to two keys redrawn (unknown keys too), or a file that is not a config."""
+    kind = data.draw(st.sampled_from(["config"] * 6 + ["array", "garbled", "missing"]))
+    if kind == "missing":
+        return str(path.parent / "no-such-config.json")
+    obj = dict(TINY_RUN)
+    for _ in range(data.draw(st.sampled_from([0, 0, 1, 2]))):
+        obj[data.draw(st.sampled_from(JSON_KEYS + ["unknown"]))] = data.draw(key_values)
+    text = {"config": json.dumps(obj), "array": "[1, 2]", "garbled": json.dumps(obj)[:-1]}[kind]
+    path.write_text(text)
+    return str(path)
+
+
+def _shuffled_flags(data, flags: dict) -> list:
+    """argv entries for the flags, in drawn order; one in seven draws drops a flag, a usage error if required."""
+    dropped = data.draw(st.sampled_from([None] * (6 * len(flags)) + list(flags)))
+    order = data.draw(st.permutations([f for f in flags if f != dropped]))
+    return [arg for f in order for arg in (f, flags[f])]
+
+
+@settings(max_examples=200, **FIXED)
+@given(st.data())
+def test_train_command_on_hostile_arguments(tmp_path_factory, data):
+    base = tmp_path_factory.getbasetemp()
+    flags = {"--config": _config_file(data, base / "train.json"), "--out": str(base / "train")}
+    argv = ["train"] + _shuffled_flags(data, flags)
+    if data.draw(st.integers(0, 5)) == 0:  # an unknown flag, or a prefix of a real one
+        argv += [data.draw(st.sampled_from(["--conf", "--ou", "--epochs", "--h"])), "1"]
+    code, stderr = run_main(argv)
+    assert len(error_lines(stderr)) == (code != 0), (argv, code, stderr)
+
+
+@settings(max_examples=100, **FIXED)
+@given(st.data())
+def test_sweep_command_on_hostile_arguments(tmp_path_factory, data):
+    base = tmp_path_factory.getbasetemp()
+    # each entry valid or not about half the time, and a list is up to 3 entries
+    values = (st.sampled_from(["0", "0.3", "1", "2", "4"])
+              | st.sampled_from(["3", "2.5", "-1", "inf", "nan", "x", ""]))
+    seeds = st.sampled_from(["0", "1", "7"]) | st.sampled_from(["-5", "2.5", "y"])
+    flags = {
+        "--param": data.draw(st.sampled_from(["lambda", "ratio"] * 3 + ["gamma"])),
+        "--values": ",".join(data.draw(st.lists(values, min_size=1, max_size=3))),
+        "--config": _config_file(data, base / "sweep.json"),
+        "--out": str(base / "sweep"),
+        "--seeds": ",".join(data.draw(st.lists(seeds, min_size=1, max_size=2))),
+    }
+    argv = ["sweep"] + _shuffled_flags(data, flags)
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):  # points in-process
+        code, stderr = run_main(argv)
+    if code == 1 and not error_lines(stderr):  # failed points: rows of sweep.csv, one `failed:` line each
+        assert stderr and all(line.startswith("failed: ") for line in stderr), (argv, stderr)
+    else:
+        assert len(error_lines(stderr)) == (code != 0), (argv, code, stderr)
+
+
+@settings(max_examples=100, **FIXED)
+@given(st.data())
+def test_gradcheck_command_on_refused_arguments(tmp_path_factory, data):
+    # a valid run takes seconds, so every draw holds at least one argument argparse refuses
+    out = tmp_path_factory.getbasetemp() / "gradcheck"
+    valid = [["--seed", str(data.draw(st.integers(-5, 5)))], ["--out", str(out)]]
+    refused = st.sampled_from([
+        ["--seed", data.draw(NOT_INTS)], [f"--seed={data.draw(NOT_INTS)}"],
+        ["--h", "1e-6"], ["--tolerance", "1"], ["--h=0.01"], ["--step", "1e-6"],  # no step or tolerance flag
+        ["--se", "1"], ["--ou", str(out)], ["--o=x"],  # prefixes of real flags
+    ])
+    parts = data.draw(st.lists(refused, min_size=1, max_size=2)) + valid[: data.draw(st.integers(0, 2))]
+    argv = ["gradcheck"] + [arg for part in data.draw(st.permutations(parts)) for arg in part]
+    code, stderr = run_main(argv)
+    assert code == 2 and len(error_lines(stderr)) == 1, (argv, code, stderr)
+    assert not out.exists()

@@ -576,9 +576,9 @@ class TestGradcheckHarness:
 
         if raises:
             with pytest.raises(RuntimeError):
-                _suite("toy", draw, 0, 1, 1e-6, 1e-5)
+                _suite("toy", draw, 0, 1)
         else:
-            assert _suite("toy", draw, 0, 1, 1e-6, 1e-5).passed
+            assert _suite("toy", draw, 0, 1).passed
 
     def test_offset_draw_gives_up_after_100_rejections(self, monkeypatch):
         import lau.checks as checks
@@ -597,11 +597,12 @@ class TestGradcheckHarness:
 
     @pytest.mark.parametrize("h, tolerance", [
         (0.0, 1e-5), (float("nan"), 1e-5), (float("inf"), 1e-5),
-        (1e-6, 0.0), (1e-6, float("nan")),
+        (1e-6, 0.0), (1e-6, float("nan")), (1e-6, 1.0),
     ])
     def test_rejects_degenerate_step_or_tolerance(self, h, tolerance):
         # a gradient 1.5x too large must never pass: nan comparisons are
-        # all False, so a nan step or tolerance would record no failure
+        # all False, so a nan step or tolerance would record no failure, and
+        # the relative error never exceeds 1, so neither would a tolerance of 1
         def fn(x):
             return float(x @ x), lambda: 3.0 * x
 

@@ -43,7 +43,7 @@ def _predictor(c, k):
 
 
 def _gradcheck(a):
-    return lau.gradcheck(lambda x: (0.0, lambda: a["grad"]), [a["point"]])
+    return lau.gradcheck(lambda x: (0.0, lambda: a["grad"]), [a["point"]], 1e-6, 1e-5)
 
 
 def op_specs(n, c, h, w, k, m, rest, kernel):
