@@ -153,8 +153,10 @@ def _fmt(v: float) -> str:
 # subcommands
 
 def cmd_gradcheck(args) -> int:
+    if args.seed < 0:
+        raise ConfigError("--seed", f"must be a non-negative integer, got {args.seed}")
+    os.makedirs(args.out, exist_ok=True)  # before the suite's seconds of work, which a bad --out would waste
     reports = standard_suite(args.seed)
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "gradcheck.csv")
     with atomic_write(path) as fh:
         fh.write("subject,cases,max_rel_err,failures\n")
@@ -178,10 +180,13 @@ def cmd_demo(args) -> int:
     else:
         sample = gen_sample(args.seed, 0, args.size, args.size, args.classes, k, 0.25)
         u = sample.features
+    k = _check_ratio(k)  # the output shape below needs a checked ratio
+    if args.upsampler != "pixelshuffle" and math.prod(u.shape) * k * k * 8 > np.iinfo(np.intp).max:
+        raise ValueError(f"ratio {k}: the {u.shape[2]}x{u.shape[3]} input would upsample to "
+                         f"{k * u.shape[2]}x{k * u.shape[3]}, more than numpy can index")
     if args.upsampler == "bilinear":
         v = bilinear_upsample(u, k)
-    elif args.upsampler == "lau":  # the zero offsets' shape needs a checked ratio
-        k = _check_ratio(k)
+    elif args.upsampler == "lau":
         v = lau_forward(u, OffsetField.zeros(u.shape[0], 1, k * u.shape[2], k * u.shape[3]), k)
     elif args.upsampler == "pixelshuffle":
         v = pixel_shuffle(u, k)

@@ -18,7 +18,7 @@ and through the predicted coordinates inside the smooth-L1 term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .core import LabelMap, ShapeError, as_tensor4
 from .samplers import (
     CORNERS,
     OffsetField,
+    _check_ratio,
     bilinear_upsample,
     corner_source_coords,
     corner_upsample,
@@ -83,14 +84,18 @@ class LossMap:
 
 @dataclass
 class CoordinateMap:
-    """Per-pixel source coordinates (px, py) in input-grid units."""
+    """Per-pixel source coordinates (px, py) in input-grid units.
+
+    float64 inputs are kept as given, so a read-only broadcast view stays a
+    view rather than a full copy.
+    """
 
     px: np.ndarray
     py: np.ndarray
 
     def __post_init__(self):
-        self.px = np.ascontiguousarray(self.px, dtype=np.float64)
-        self.py = np.ascontiguousarray(self.py, dtype=np.float64)
+        self.px = np.asarray(self.px, dtype=np.float64)
+        self.py = np.asarray(self.py, dtype=np.float64)
         if self.px.ndim != 3 or self.px.shape != self.py.shape:
             raise ShapeError(
                 f"px/py must be matching (n, h, w), got {self.px.shape} and {self.py.shape}"
@@ -110,11 +115,13 @@ class CandidateSet:
     Index 0 is the offset-refined sampler's own entry; indices 1..4 are the
     lattice corners in the order (floor,floor), (ceil,floor), (floor,ceil),
     (ceil,ceil) of (x, y) rounding. The four corner entries carry no
-    gradient by contract.
+    gradient by contract. The loss values are stacked once, when the set is
+    built, so the entries are not meant to change afterwards.
     """
 
     losses: list  # 5 LossMaps
     coords: list  # 5 CoordinateMaps
+    _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.losses) != 5 or len(self.coords) != 5:
@@ -126,13 +133,16 @@ class CandidateSet:
         for cm in self.coords:
             if cm.shape != shape:
                 raise ShapeError("coordinate maps must match the loss-map shape")
+        self._stack = np.stack([lm.values for lm in self.losses])
+        self._stack.setflags(write=False)
 
     @property
     def shape(self):
         return self.losses[0].shape
 
     def loss_stack(self) -> np.ndarray:
-        return np.stack([lm.values for lm in self.losses])
+        """The five loss maps' values as one read-only (5, n, h, w) array."""
+        return self._stack
 
 
 def _true_class(logits: np.ndarray, labels: LabelMap):
@@ -246,14 +256,17 @@ def guided_terms(ce: LossMap, aux: LossMap, lam: float):
     return out, lambda: np.where(valid, w / int(valid.sum()), 0.0)
 
 
-def _pool_mean(values: np.ndarray, valid: np.ndarray, r: int) -> LossMap:
-    """Mean over each r-by-r block's valid pixels; a block is valid if any are."""
+def _block_sums(values: np.ndarray, r: int) -> np.ndarray:
+    """Sum of each r-by-r block of (n, hh, ww) values."""
     n, hh, ww = values.shape
-    vsum = values.reshape(n, hh // r, r, ww // r, r).sum(axis=(2, 4))
-    count = valid.reshape(n, hh // r, r, ww // r, r).sum(axis=(2, 4))
-    ok = count > 0
-    mean = np.where(ok, vsum / np.maximum(count, 1), 0.0)
-    return LossMap(mean, ok)
+    return values.reshape(n, hh // r, r, ww // r, r).sum(axis=(2, 4))
+
+
+def _stacked_labels(labels: LabelMap, start: int, rows: int) -> LabelMap:
+    """Labels of rows start..start + rows of a corner-major stack, whose row r is sample r mod n."""
+    if rows == labels.n:  # the rows are one whole corner
+        return labels
+    return LabelMap(labels.labels[np.arange(start, start + rows) % labels.n], labels.num_classes)
 
 
 def build_candidate_set(u: np.ndarray, off: OffsetField, k: int, rest: int,
@@ -264,32 +277,54 @@ def build_candidate_set(u: np.ndarray, off: OffsetField, k: int, rest: int,
     resolution with the plain bilinear stage over the remaining factor
     `rest`, and scores it with cross-entropy against `labels`. `refined` is
     that CE for the offset-refined sampler, which every caller has already
-    computed for its own loss. The per-pixel losses are averaged back over
-    each rest-by-rest block so losses and coordinates agree on the
-    sampler's output grid. Corner entries are constants; only the index-0
-    path is meant to carry gradient.
+    computed for its own loss, so its valid mask is the labels'. The
+    per-pixel losses are averaged back over each rest-by-rest block's valid
+    pixels so losses and coordinates agree on the sampler's output grid.
+    Corner entries are constants; only the index-0 path is meant to carry
+    gradient.
+
+    The four corner outputs are stacked on the batch axis, corner-major, and
+    go through the bilinear stage and CE in chunks of max(n, 4) rows: one
+    call per corner from batch 4 up, all four corners in one call below.
+    Each block's valid count is taken once and shared by the five means,
+    and the corner coordinates are read-only broadcasts of the corner axes.
     """
     u = as_tensor4(u)
+    rest = _check_ratio(rest)  # the refined loss is pooled by it before any sampler runs
     if off.m != 1:
         raise ShapeError("candidate machinery needs shared offsets (m = 1)")
     n, c, h, w = u.shape
-    if (off.n, off.h_out, off.w_out) != (n, k * h, k * w):
+    grid = (n, k * h, k * w)
+    if (off.n, off.h_out, off.w_out) != grid:
         raise ShapeError(f"offset dims {off.dx.shape} != sampler output ({n}, 1, {k * h}, {k * w})")
+    if labels.n != n:  # the stacked rows read sample r mod n of the labels
+        raise ShapeError(f"labels batch {labels.n} != tensor batch {n}")
     if refined.shape != (labels.n, labels.h, labels.w):
         raise ShapeError(f"refined loss {refined.shape} != labels {(labels.n, labels.h, labels.w)}")
+    valid = labels.valid
+    if not np.array_equal(refined.valid, valid):
+        raise ValueError("refined loss must be valid exactly where the labels are")
 
-    losses = [_pool_mean(refined.values, refined.valid, rest)]
-    for corner in CORNERS:
-        lm = cross_entropy_map(bilinear_upsample(corner_upsample(u, k, corner), rest), labels)
-        losses.append(_pool_mean(lm.values, lm.valid, rest))
+    sums = np.empty((5,) + grid)
+    sums[0] = _block_sums(refined.values, rest)
+    corner_sums = sums[1:].reshape((4 * n,) + grid[1:])  # a view: row r is corner r // n, sample r % n
+    stack = np.concatenate([corner_upsample(u, k, corner) for corner in CORNERS])
+    rows = max(n, 4)
+    for start in range(0, 4 * n, rows):
+        ce = cross_entropy_map(bilinear_upsample(stack[start:start + rows], rest),
+                               _stacked_labels(labels, start, rows))
+        corner_sums[start:start + rows] = _block_sums(ce.values, rest)
+    count = _block_sums(valid, rest)
+    ok = count > 0
+    means = np.where(ok, sums / np.maximum(count, 1), 0.0)
+    losses = [LossMap(m, ok) for m in means]
 
     qx, qy = lau_source_coords(off, k)
-    coords = [CoordinateMap(qx[:, 0], qy[:, 0])]
-    for corner in CORNERS:
-        xs, ys = corner_source_coords(h, w, k, corner)
-        px = np.broadcast_to(xs[None, None, :], (n, off.h_out, off.w_out))
-        py = np.broadcast_to(ys[None, :, None], (n, off.h_out, off.w_out))
-        coords.append(CoordinateMap(px, py))
+    axes = [corner_source_coords(h, w, k, corner) for corner in CORNERS]
+    # one read-only broadcast per axis for all four corners; indexing it gives each corner's view
+    px = np.broadcast_to(np.array([xs for xs, _ in axes], dtype=np.float64)[:, None, None, :], (4,) + grid)
+    py = np.broadcast_to(np.array([ys for _, ys in axes], dtype=np.float64)[:, None, :, None], (4,) + grid)
+    coords = [CoordinateMap(qx[:, 0], qy[:, 0])] + [CoordinateMap(x, y) for x, y in zip(px, py)]
     return CandidateSet(losses, coords)
 
 
@@ -300,11 +335,8 @@ def select_theta_opt(cs: CandidateSet) -> CoordinateMap:
     tie against a corner.
     """
     best = cs.loss_stack().argmin(axis=0)  # argmin takes the first minimum
-    # candidate j's entry of pixel i sits at flat index j * size + i of the stack
-    flat = best * best.size + np.arange(best.size).reshape(best.shape)
-    px = np.stack([cm.px for cm in cs.coords]).ravel()
-    py = np.stack([cm.py for cm in cs.coords]).ravel()
-    return CoordinateMap(px[flat], py[flat])
+    return CoordinateMap(np.choose(best, [cm.px for cm in cs.coords]),
+                         np.choose(best, [cm.py for cm in cs.coords]))
 
 
 def regression_weight(cs: CandidateSet, lam: float) -> np.ndarray:

@@ -4,9 +4,10 @@ Everything here is written directly from the mathematical definitions, with
 none of the gather/scatter shortcuts the library uses, so agreement is
 meaningful. The exception is the reference code at the end: per-tap einsum
 convs, a gather/np.add.at bilinear stage, np.pad zero padding, a
-np.take_along_axis cross-entropy and an evaluate with one forward per loss
-group, the byte baseline that the library's matmul, phase-sliced,
-buffer-padding, flat-index and chunked paths must reproduce exactly.
+np.take_along_axis cross-entropy, an evaluate with one forward per loss
+group and a regression candidate set built one corner at a time, the byte
+baseline that the library's matmul, phase-sliced, buffer-padding,
+flat-index, chunked and stacked paths must reproduce exactly.
 """
 
 import math
@@ -15,8 +16,16 @@ import numpy as np
 
 from lau import synth
 from lau.core import LabelMap
+from lau.losses import CandidateSet, CoordinateMap, LossMap, cross_entropy_map, smooth_l1, smooth_l1_grad
 from lau.net import loss_and_grads
-from lau.samplers import OffsetField
+from lau.samplers import (
+    CORNERS,
+    OffsetField,
+    bilinear_upsample,
+    corner_source_coords,
+    corner_upsample,
+    lau_source_coords,
+)
 
 
 def oracle_kernel_sum(u, k, dx=None, dy=None, m=1):
@@ -286,3 +295,64 @@ def one_forward_evaluate(net, cfg, samples):
         "miou": synth.miou(pred_map, gt_map, cfg.num_classes),
         "speckle": synth.speckle_rate(pred_map),
     }
+
+
+def _pool_mean(values, valid, r):
+    """Mean over each r-by-r block's valid pixels, counted from this map's own mask."""
+    n, hh, ww = values.shape
+    vsum = values.reshape(n, hh // r, r, ww // r, r).sum(axis=(2, 4))
+    count = valid.reshape(n, hh // r, r, ww // r, r).sum(axis=(2, 4))
+    ok = count > 0
+    return LossMap(np.where(ok, vsum / np.maximum(count, 1), 0.0), ok)
+
+
+def per_corner_candidate_set(u, off, k, rest, labels, refined):
+    """build_candidate_set as one corner -> bilinear -> CE -> pool pipeline per
+    corner, each pooled mean counting its own valid pixels, and the corner
+    coordinates copied out to full float64 maps."""
+    n, c, h, w = u.shape
+    losses = [_pool_mean(refined.values, refined.valid, rest)]
+    for corner in CORNERS:
+        lm = cross_entropy_map(bilinear_upsample(corner_upsample(u, k, corner), rest), labels)
+        losses.append(_pool_mean(lm.values, lm.valid, rest))
+    qx, qy = lau_source_coords(off, k)
+    coords = [CoordinateMap(qx[:, 0], qy[:, 0])]
+    for corner in CORNERS:
+        xs, ys = corner_source_coords(h, w, k, corner)
+        px = np.broadcast_to(xs[None, None, :], (n, k * h, k * w))
+        py = np.broadcast_to(ys[None, :, None], (n, k * h, k * w))
+        coords.append(CoordinateMap(np.ascontiguousarray(px, dtype=np.float64),
+                                    np.ascontiguousarray(py, dtype=np.float64)))
+    return CandidateSet(losses, coords)
+
+
+def flat_index_theta_opt(cs):
+    """select_theta_opt by flat indices into the stacked losses and coordinates."""
+    best = np.stack([lm.values for lm in cs.losses]).argmin(axis=0)
+    flat = best * best.size + np.arange(best.size).reshape(best.shape)
+    px = np.stack([cm.px for cm in cs.coords]).ravel()
+    py = np.stack([cm.py for cm in cs.coords]).ravel()
+    return CoordinateMap(px[flat], py[flat])
+
+
+def restacked_regression_terms(cs, gamma, lam, rest, labels):
+    """regression_terms' loss map and both gradient terms, with the losses
+    stacked again for the target and for the weight.
+
+    Returns (loss values, loss valid, CE weights, offset gradient dx, dy).
+    """
+    theta_opt = flat_index_theta_opt(cs)
+    stack = np.stack([lm.values for lm in cs.losses])
+    w = np.where(stack[0] <= stack.min(axis=0), 1.0, 1.0 + lam)
+    pred, main = cs.coords[0], cs.losses[0]
+    valid = main.valid
+    values = np.where(valid, gamma * smooth_l1(pred, theta_opt).values + main.values * w, 0.0)
+    ns = int(valid.sum())
+    n, sh, sw = cs.shape
+    counts = labels.valid.reshape(n, sh, rest, sw, rest).sum(axis=(2, 4))
+    per_block = np.where(valid, w / (ns * np.maximum(counts, 1)), 0.0)
+    weights = np.repeat(np.repeat(per_block, rest, axis=1), rest, axis=2)
+    weights = np.where(labels.valid, weights, 0.0)
+    gx, gy = smooth_l1_grad(pred, theta_opt)
+    scale = np.where(valid, gamma / ns, 0.0)
+    return values, valid, weights, (gx * scale)[:, None], (gy * scale)[:, None]

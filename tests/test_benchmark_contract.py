@@ -70,7 +70,9 @@ print("contract ok")
 """
 
 # The tracer wraps only plain public functions (inspect.isfunction), so a
-# cache decorator on one of these would silently drop its span.
+# cache decorator on one of these would silently drop its span. The candidate
+# set runs the four corners through corner_upsample, once each, however it
+# batches the stages after it, so samplers.corner_upsample keeps counting them.
 GEOMETRY_SPANS = """
 import runpy
 import numpy as np
@@ -87,6 +89,9 @@ finally:
     tracer.uninstall()
 for name in ("samplers.corner_source_coords", "samplers.lau_source_coords"):
     assert name in tracer.names, (name, sorted(set(tracer.names)))
+builds = [i for i, name in enumerate(tracer.names) if name == "losses.build_candidate_set"]
+corners = [tracer.parents[i] for i, name in enumerate(tracer.names) if name == "samplers.corner_upsample"]
+assert builds and all(corners.count(b) == 4 for b in builds) and len(corners) == 4 * len(builds), corners
 print("contract ok")
 """
 

@@ -200,6 +200,20 @@ class TestDemo:
         err = capsys.readouterr().err
         assert err.startswith("error: num_classes") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("upsampler", ["lau", "bilinear"])
+    def test_ratio_beyond_numpy_arrays_names_the_ratio(self, tmp_path, capsys, upsampler):
+        # an integer ratio >= 1 passed the sampler's check, and numpy refused
+        # the k * h output: "Maximum allowed dimension exceeded" (lau) or
+        # "Maximum allowed size exceeded" (bilinear)
+        infile = tmp_path / "in.t4"
+        write_tensor(infile, np.zeros((1, 3, 4, 4)))
+        assert main(["demo", "--upsampler", upsampler, "--in", str(infile), "--ratio", str(2**62),
+                     "--out", str(tmp_path / "d")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ratio {2**62}: ") and "numpy can index" in err, err
+        assert err.count("\n") == 1, err
+        assert not (tmp_path / "d").exists()
+
     def test_corner_variant_runs(self, tmp_path):
         out = tmp_path / "c"
         assert main(["demo", "--upsampler", "corner-fc", "--ratio", "2",
@@ -492,6 +506,32 @@ class TestOversizedRequests:
 
 
 class TestGradcheckCommand:
+    @staticmethod
+    def refuse_to_run_suite(monkeypatch):
+        def suite(seed):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(lau.cli, "standard_suite", suite)
+
+    def test_negative_seed_names_the_flag_before_any_check(self, tmp_path, monkeypatch, capsys):
+        # numpy's default_rng refused it, in its own words, after the
+        # command had started: "error: expected non-negative integer"
+        self.refuse_to_run_suite(monkeypatch)
+        assert main(["gradcheck", "--seed", "-1", "--out", str(tmp_path / "g")]) == 2
+        err = capsys.readouterr().err
+        assert "--seed: must be a non-negative integer, got -1" in err and err.count("\n") == 1, err
+        assert not (tmp_path / "g").exists()
+
+    def test_out_that_is_a_file_fails_before_the_suite(self, tmp_path, monkeypatch, capsys):
+        # the whole suite ran before os.makedirs refused the path
+        self.refuse_to_run_suite(monkeypatch)
+        target = tmp_path / "report"
+        target.write_text("kept\n")
+        assert main(["gradcheck", "--out", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "File exists" in err and err.count("\n") == 1, err
+        assert target.read_text() == "kept\n"
+
     def test_default_run_passes(self, tmp_path):
         rc = main(["gradcheck", "--out", str(tmp_path)])
         assert rc == 0

@@ -19,6 +19,7 @@ from lau.losses import (
     offset_guided_loss,
     reduce_loss,
     regression_loss,
+    regression_terms,
     select_theta_opt,
     smooth_l1,
     smooth_l1_grad,
@@ -49,9 +50,12 @@ def random_candidate_set(rng, n=1, h=3, w=3):
 
 
 from _oracles import (
+    flat_index_theta_opt,
     oracle_guided,
     oracle_regression,
+    per_corner_candidate_set,
     put_along_axis_cross_entropy_backward,
+    restacked_regression_terms,
     take_along_axis_cross_entropy,
 )
 
@@ -325,6 +329,68 @@ class TestCandidateSet:
         refined = all_valid(np.zeros((1, 5, 4)))
         with pytest.raises(ShapeError, match="refined loss"):
             build_candidate_set(u, OffsetField.zeros(1, 1, 2, 2), 2, 2, labels, refined)
+
+
+    @pytest.mark.parametrize("rest", [0, -1, 2.5])
+    def test_bad_bilinear_factor_names_the_ratio(self, rest):
+        # the refined loss was pooled before any sampler checked `rest`:
+        # a ZeroDivisionError at 0, numpy's "can only specify one unknown
+        # dimension" at -1 and a TypeError at 2.5
+        u = np.zeros((1, 2, 2, 2))
+        labels = LabelMap(np.zeros((1, 4, 4), int), 2)
+        with pytest.raises(ValueError, match="upsampling ratio must be an integer >= 1"):
+            build_candidate_set(u, OffsetField.zeros(1, 1, 4, 4), 2, rest, labels,
+                                all_valid(np.zeros((1, 4, 4))))
+
+    def test_refined_valid_off_the_labels_raises(self):
+        # one count per block serves all five means, so the refined loss
+        # must be valid exactly where the labels are
+        u = np.zeros((1, 2, 1, 1))
+        labels = LabelMap(np.array([[[0, -1], [1, 0]]]), 2)
+        with pytest.raises(ValueError, match="valid exactly where the labels are"):
+            build_candidate_set(u, OffsetField.zeros(1, 1, 2, 2), 2, 1, labels,
+                                all_valid(np.zeros((1, 2, 2))))
+
+
+class TestCandidateSetMatchesPerCornerReference:
+    """The stacked, chunked build equals one pipeline per corner, byte for byte.
+
+    Batches 1-9 put the max(n, 4)-row chunks on both sides of a corner
+    boundary (n = 2 holds two corners per chunk, n = 3 cuts every chunk
+    across two), and the ignored labels leave blocks with every count from
+    zero to rest * rest valid pixels.
+    """
+
+    @pytest.mark.parametrize("rest", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_every_output_is_byte_identical(self, n, k, rest):
+        rng = np.random.default_rng(1000 * n + 10 * k + rest)
+        c, h, w = 3, 2, 3
+        u = rng.normal(size=(n, c, h, w))
+        shape = (n, 1, k * h, k * w)
+        off = OffsetField(rng.uniform(-1.5, 1.5, shape), rng.uniform(-1.5, 1.5, shape))
+        full = rng.integers(0, c, (n, rest * k * h, rest * k * w))
+        labels = LabelMap(np.where(rng.random(full.shape) < 0.3, -1, full), c)
+        refined = refined_ce(u, off, k, rest, labels)
+
+        cs = build_candidate_set(u, off, k, rest, labels, refined)
+        ref = per_corner_candidate_set(u, off, k, rest, labels, refined)
+        for got, want in zip(cs.losses, ref.losses):
+            assert np.array_equal(got.values, want.values) and np.array_equal(got.valid, want.valid)
+        for got, want in zip(cs.coords, ref.coords):
+            assert np.array_equal(got.px, want.px) and np.array_equal(got.py, want.py)
+        assert np.array_equal(cs.loss_stack(), ref.loss_stack())
+
+        theta, theta_ref = select_theta_opt(cs), flat_index_theta_opt(ref)
+        assert np.array_equal(theta.px, theta_ref.px) and np.array_equal(theta.py, theta_ref.py)
+
+        out, grad = regression_terms(cs, 0.1, 0.3)
+        weights, direct = grad(rest, labels)
+        values, valid, ref_weights, ref_dx, ref_dy = restacked_regression_terms(ref, 0.1, 0.3, rest, labels)
+        assert np.array_equal(out.values, values) and np.array_equal(out.valid, valid)
+        assert np.array_equal(weights, ref_weights)
+        assert np.array_equal(direct.dx, ref_dx) and np.array_equal(direct.dy, ref_dy)
 
 
 class TestThetaOpt:
