@@ -188,16 +188,20 @@ def cross_entropy_backward(
     of their weight entry.
     """
     logits = as_tensor4(logits)
-    z = logits - logits.max(axis=1, keepdims=True)
-    ez = np.exp(z)
-    softmax = ez / ez.sum(axis=1, keepdims=True)
+    # one array, updated in place: z, then exp(z), then the softmax
+    softmax = logits - logits.max(axis=1, keepdims=True)
+    np.exp(softmax, out=softmax)
+    softmax /= softmax.sum(axis=1, keepdims=True)
     valid, flat = _true_class(logits, labels)
     if np.shape(weights) != valid.shape:
         raise ShapeError(f"weights shape {np.shape(weights)} != labels {valid.shape}")
-    onehot = np.zeros_like(logits)
-    onehot.ravel()[flat] = 1.0
-    wmap = np.where(valid, weights, 0.0)[:, None]
-    return (softmax - onehot) * wmap
+    # (softmax - onehot) * w, without the one-hot: s * w off the true class,
+    # which equals (s - 0) * w, and (s - 1) * w on it (class 0 where ignored)
+    wmap = np.where(valid, weights, 0.0)
+    true = (softmax.ravel()[flat] - 1.0) * wmap
+    softmax *= wmap[:, None]
+    softmax.ravel()[flat] = true
+    return softmax
 
 
 def _huber(d: np.ndarray) -> np.ndarray:

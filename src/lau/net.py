@@ -552,14 +552,15 @@ def evaluate(net: SegNet, cfg: TrainConfig, samples) -> dict:
     The loss is reduced over groups of max(cfg.batch, 64) samples, each
     weighted by its count of valid labels; a group is forwarded in chunks
     of _EVAL_CHUNK samples, whose loss maps it concatenates before the
-    reduction, so the result does not depend on the chunk size.
+    reduction, so the result does not depend on the chunk size. The
+    metrics come from the sum of each chunk's synth.Tally, so no map the
+    size of the split is ever held.
     """
     if not samples:
         raise ValueError("evaluate needs at least one sample")
     loss_sum = 0.0
     loss_count = 0
-    preds = []
-    gts = []
+    tally = None
     for lo, hi in _batches(len(samples), max(cfg.batch, 64)):
         maps = []
         nv = 0  # valid labels, not loss-map pixels: under reg the map is at stage resolution
@@ -569,18 +570,17 @@ def evaluate(net: SegNet, cfg: TrainConfig, samples) -> dict:
             logits, cache = network_forward(net, _stack_features(samples, idx))
             maps.append(_loss_forward(net, cfg, logits, cache, labels)[0])
             nv += int(labels.valid.sum())
-            preds.append(np.argmax(logits, axis=1))
-            gts.append(labels.labels)
-        loss = LossMap(np.concatenate([m.values for m in maps]), np.concatenate([m.valid for m in maps]))
-        loss_sum += reduce_loss(loss) * nv
+            chunk = synth.Tally.of(LabelMap(np.argmax(logits, axis=1), cfg.num_classes), labels)
+            tally = chunk if tally is None else tally + chunk
+        # bound to no name, so it is freed before the next group's forwards
+        loss_sum += reduce_loss(LossMap(np.concatenate([m.values for m in maps]),
+                                        np.concatenate([m.valid for m in maps]))) * nv
         loss_count += nv
-    pred_map = LabelMap(np.concatenate(preds), cfg.num_classes)
-    gt_map = LabelMap(np.concatenate(gts), cfg.num_classes)
     return {
         "loss": loss_sum / loss_count,
-        "pixacc": synth.pix_acc(pred_map, gt_map),
-        "miou": synth.miou(pred_map, gt_map, cfg.num_classes),
-        "speckle": synth.speckle_rate(pred_map),
+        "pixacc": tally.pix_acc(),
+        "miou": tally.miou(cfg.num_classes),
+        "speckle": tally.speckle_rate(),
     }
 
 

@@ -261,10 +261,13 @@ def lau_source_coords(off: OffsetField, k: int):
 def _lau_taps(u: np.ndarray, off: OffsetField, k: int):
     """Validate one lau call and read its four bilinear taps, once.
 
-    Returns (u, fx, fy, idx, taps): the validated input, the cell fractions
-    of the clamped source points in the offset-group layout, and the
-    flat indices into U and values of the (y0,x0), (y0,x1), (y1,x0), (y1,x1)
-    taps, each stacked as (4, n, c, k*h, k*w) for m = 1 and m = c alike.
+    Returns (u, fx, fy, plane, pixels, taps): the validated input, the cell
+    fractions of the clamped source points in the offset-group layout, each
+    channel plane's offset into the raveled U, the (y0,x0), (y0,x1),
+    (y1,x0), (y1,x1) taps' pixels within a plane, stacked (4, n, m, k*h,
+    k*w), and the taps' values, each (n, c, k*h, k*w) for m = 1 and m = c
+    alike. A tap's flat indices, plane + pixels[i], are built one tap at a
+    time, so a forward pass holds at most one at full size.
     """
     u = as_tensor4(u)
     k = _check_ratio(k)
@@ -277,10 +280,10 @@ def _lau_taps(u: np.ndarray, off: OffsetField, k: int):
         raise ShapeError(f"offset resolution {(off.h_out, off.w_out)} != output ({k * h}, {k * w})")
     qx, qy = lau_source_coords(off, k)
     x0, x1, fx, y0, y1, fy = _cells(qx, qy, h, w)
-    plane = np.arange(n * c).reshape(n, c, 1, 1) * h
-    row0, row1 = (plane + y0) * w, (plane + y1) * w
-    idx = np.stack([row0 + x0, row0 + x1, row1 + x0, row1 + x1])
-    return u, fx, fy, idx, u.ravel()[idx]
+    plane = np.arange(n * c).reshape(n, c, 1, 1) * (h * w)
+    pixels = np.stack([row + col for row in (y0 * w, y1 * w) for col in (x0, x1)])
+    flat = u.ravel()
+    return u, fx, fy, plane, pixels, [flat[plane + p] for p in pixels]
 
 
 def lau_forward(u: np.ndarray, off: OffsetField, k: int) -> np.ndarray:
@@ -290,7 +293,7 @@ def lau_forward(u: np.ndarray, off: OffsetField, k: int) -> np.ndarray:
     blended x first, then y, as in bilinear_upsample, so an all-zero offset
     field reproduces it bit for bit.
     """
-    *_, fx, fy, _, t = _lau_taps(u, off, k)
+    _, fx, fy, _, _, t = _lau_taps(u, off, k)
     return (t[0] * (1.0 - fx) + t[1] * fx) * (1.0 - fy) + (t[2] * (1.0 - fx) + t[3] * fx) * fy
 
 
@@ -303,15 +306,15 @@ def lau_backward(u: np.ndarray, off: OffsetField, k: int, dv: np.ndarray):
     -1 where it sits right, and 0 at exact lattice hits, at support edges,
     and wherever the raw (unclamped) point fell outside the grid.
     """
-    u, fx, fy, idx, t = _lau_taps(u, off, k)
+    u, fx, fy, plane, pixels, t = _lau_taps(u, off, k)
     dv = as_tensor4(dv)
-    if dv.shape != t.shape[1:]:
-        raise ShapeError(f"dv shape {dv.shape} != output {t.shape[1:]}")
+    if dv.shape != t[0].shape:
+        raise ShapeError(f"dv shape {dv.shape} != output {t[0].shape}")
 
     # One scatter in tap order: bincount adds in input order, so each dU
     # entry sums its contributions exactly as four sequential passes would.
     weights = np.stack([(1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx])
-    du = np.bincount(idx.ravel(), (dv * weights).ravel(), u.size).reshape(u.shape)
+    du = np.bincount((plane + pixels).ravel(), (dv * weights).ravel(), u.size).reshape(u.shape)
 
     # Kernel slope terms. fx == 0 on a column hit, where the symmetric
     # subgradient is 0, and on every point clamped from outside the grid;

@@ -14,7 +14,7 @@ never need to be stored to be reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,6 +27,7 @@ MAX_REDRAWS = 1000
 
 __all__ = [
     "SynthSample",
+    "Tally",
     "gen_sample",
     "miou",
     "pix_acc",
@@ -107,21 +108,62 @@ def gen_sample(seed: int, index: int, height: int, width: int, num_classes: int,
     return SynthSample(features[None], LabelMap(labels[None], num_classes))
 
 
-def _check_pair(pred: LabelMap, gt: LabelMap):
-    if (pred.n, pred.h, pred.w) != (gt.n, gt.h, gt.w):
-        raise ShapeError(
-            f"prediction dims {(pred.n, pred.h, pred.w)} != ground truth {(gt.n, gt.h, gt.w)}"
-        )
+@dataclass(frozen=True, eq=False)
+class Tally:
+    """Exact integer counts behind pix_acc, miou and speckle_rate.
+
+    Per class, among valid pixels: hits (of the class and predicted so),
+    predicted (a predicted IGNORE is no class) and true, the diagonal and
+    margins of the confusion matrix; then the prediction's isolated pixels
+    out of its interior ones. Tallies of disjoint samples add up to their
+    union's, so a split is scored chunk by chunk, dividing the same integers.
+    """
+
+    hits: np.ndarray  # (C,) int64, C the larger class count of the pair; so are predicted and true
+    predicted: np.ndarray
+    true: np.ndarray
+    isolated: int
+    interior: int
+
+    @classmethod
+    def of(cls, pred: LabelMap, gt: LabelMap) -> Tally:
+        if (pred.n, pred.h, pred.w) != (gt.n, gt.h, gt.w):
+            raise ShapeError(f"prediction dims {(pred.n, pred.h, pred.w)} != ground truth {(gt.n, gt.h, gt.w)}")
+        c = max(pred.num_classes, gt.num_classes)
+        valid = gt.valid
+        p, g = pred.labels[valid], gt.labels[valid]
+        x = pred.labels
+        mid = x[:, 1:-1, 1:-1]
+        isolated = ((mid != x[:, :-2, 1:-1]) & (mid != x[:, 2:, 1:-1])
+                    & (mid != x[:, 1:-1, :-2]) & (mid != x[:, 1:-1, 2:]))
+        return cls(np.bincount(g[p == g], minlength=c), np.bincount(p + 1, minlength=c + 1)[1:],
+                   np.bincount(g, minlength=c), isolated.sum(), mid.size)
+
+    def __add__(self, other: Tally) -> Tally:
+        return Tally(*(getattr(self, f.name) + getattr(other, f.name) for f in fields(self)))
+
+    def pix_acc(self) -> float:
+        total = int(self.true.sum())
+        if total == 0:
+            raise ValueError("no valid pixels")
+        return float(self.hits.sum() / total)
+
+    def miou(self, num_classes: int) -> float:
+        union = self.predicted + self.true - self.hits
+        ious = [int(i) / int(u) for i, u in zip(self.hits[: max(num_classes, 0)], union) if u]
+        if not ious:
+            raise ValueError("no classes present")
+        return float(np.mean(ious))
+
+    def speckle_rate(self) -> float:
+        if not self.interior:
+            raise ShapeError("no interior pixels: need a map of at least 3x3")
+        return float(self.isolated / self.interior)
 
 
 def pix_acc(pred: LabelMap, gt: LabelMap) -> float:
     """Fraction of valid pixels predicted correctly."""
-    _check_pair(pred, gt)
-    valid = gt.valid
-    total = int(valid.sum())
-    if total == 0:
-        raise ValueError("no valid pixels")
-    return float((pred.labels[valid] == gt.labels[valid]).sum() / total)
+    return Tally.of(pred, gt).pix_acc()
 
 
 def miou(pred: LabelMap, gt: LabelMap, num_classes: int) -> float:
@@ -130,19 +172,7 @@ def miou(pred: LabelMap, gt: LabelMap, num_classes: int) -> float:
     Classes absent from both maps (among valid pixels) are excluded from
     the mean, since empty classes would contribute undefined ratios.
     """
-    _check_pair(pred, gt)
-    valid = gt.valid
-    p = pred.labels[valid]
-    g = gt.labels[valid]
-    ious = []
-    for cls in range(num_classes):
-        inter = int(((p == cls) & (g == cls)).sum())
-        union = int(((p == cls) | (g == cls)).sum())
-        if union:
-            ious.append(inter / union)
-    if not ious:
-        raise ValueError("no classes present")
-    return float(np.mean(ious))
+    return Tally.of(pred, gt).miou(num_classes)
 
 
 def speckle_rate(pred: LabelMap) -> float:
@@ -153,12 +183,4 @@ def speckle_rate(pred: LabelMap) -> float:
     """
     if pred.h < 3 or pred.w < 3:
         raise ShapeError(f"need at least 3x3 maps, got {pred.h}x{pred.w}")
-    x = pred.labels
-    mid = x[:, 1:-1, 1:-1]
-    isolated = (
-        (mid != x[:, :-2, 1:-1])
-        & (mid != x[:, 2:, 1:-1])
-        & (mid != x[:, 1:-1, :-2])
-        & (mid != x[:, 1:-1, 2:])
-    )
-    return float(isolated.sum() / mid.size)
+    return Tally.of(pred, pred).speckle_rate()

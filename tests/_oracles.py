@@ -5,17 +5,17 @@ none of the gather/scatter shortcuts the library uses, so agreement is
 meaningful. The exception is the reference code at the end: per-tap einsum
 convs, a gather/np.add.at bilinear stage, np.pad zero padding, a
 np.take_along_axis cross-entropy, an evaluate with one forward per loss
-group and a regression candidate set built one corner at a time, the byte
-baseline that the library's matmul, phase-sliced, buffer-padding,
-flat-index, chunked and stacked paths must reproduce exactly.
+group that scores whole-split masks, and a regression candidate set built
+one corner at a time: the byte baseline that the library's matmul,
+phase-sliced, buffer-padding, flat-index, chunked, tallied and stacked
+paths must reproduce exactly.
 """
 
 import math
 
 import numpy as np
 
-from lau import synth
-from lau.core import LabelMap
+from lau.core import LabelMap, ShapeError
 from lau.losses import CandidateSet, CoordinateMap, LossMap, cross_entropy_map, smooth_l1, smooth_l1_grad
 from lau.net import loss_and_grads
 from lau.samplers import (
@@ -291,10 +291,59 @@ def one_forward_evaluate(net, cfg, samples):
     gt_map = LabelMap(np.concatenate(gts), cfg.num_classes)
     return {
         "loss": loss_sum / loss_count,
-        "pixacc": synth.pix_acc(pred_map, gt_map),
-        "miou": synth.miou(pred_map, gt_map, cfg.num_classes),
-        "speckle": synth.speckle_rate(pred_map),
+        "pixacc": mask_pix_acc(pred_map, gt_map),
+        "miou": mask_miou(pred_map, gt_map, cfg.num_classes),
+        "speckle": mask_speckle_rate(pred_map),
     }
+
+
+def _check_pair(pred, gt):
+    if (pred.n, pred.h, pred.w) != (gt.n, gt.h, gt.w):
+        raise ShapeError(
+            f"prediction dims {(pred.n, pred.h, pred.w)} != ground truth {(gt.n, gt.h, gt.w)}"
+        )
+
+
+def mask_pix_acc(pred, gt):
+    """pix_acc over the whole maps at once: one boolean mask of valid pixels."""
+    _check_pair(pred, gt)
+    valid = gt.valid
+    total = int(valid.sum())
+    if total == 0:
+        raise ValueError("no valid pixels")
+    return float((pred.labels[valid] == gt.labels[valid]).sum() / total)
+
+
+def mask_miou(pred, gt, num_classes):
+    """miou with one pair of class masks per class over the whole maps."""
+    _check_pair(pred, gt)
+    valid = gt.valid
+    p = pred.labels[valid]
+    g = gt.labels[valid]
+    ious = []
+    for cls in range(num_classes):
+        inter = int(((p == cls) & (g == cls)).sum())
+        union = int(((p == cls) | (g == cls)).sum())
+        if union:
+            ious.append(inter / union)
+    if not ious:
+        raise ValueError("no classes present")
+    return float(np.mean(ious))
+
+
+def mask_speckle_rate(pred):
+    """speckle_rate as one neighbor comparison over the whole map."""
+    if pred.h < 3 or pred.w < 3:
+        raise ShapeError(f"need at least 3x3 maps, got {pred.h}x{pred.w}")
+    x = pred.labels
+    mid = x[:, 1:-1, 1:-1]
+    isolated = (
+        (mid != x[:, :-2, 1:-1])
+        & (mid != x[:, 2:, 1:-1])
+        & (mid != x[:, 1:-1, :-2])
+        & (mid != x[:, 1:-1, 2:])
+    )
+    return float(isolated.sum() / mid.size)
 
 
 def _pool_mean(values, valid, r):

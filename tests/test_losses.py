@@ -135,14 +135,15 @@ class TestCrossEntropy:
     @given(st.integers(1, 3), st.integers(2, 5), st.integers(1, 6), st.integers(1, 6),
            st.integers(0, 2**32 - 1))
     def test_backward_bytes_match_put_along_axis_reference(self, n, c, h, w, seed):
-        # the flat-index one-hot sets the same true-class entries, ignored
-        # pixels included
+        # (softmax - onehot) * w to the sign bit: the flat-index write sets
+        # the same true-class entries, ignored pixels included, whose class-0
+        # entry stays -0.0, and so does a zero-weight pixel's true class
         rng = np.random.default_rng(seed)
         logits = rng.normal(scale=10.0, size=(n, c, h, w))
         labels = LabelMap(rng.integers(-1, c, size=(n, h, w)), c)
-        weights = rng.uniform(0.5, 2.0, (n, h, w))
-        assert np.array_equal(cross_entropy_backward(logits, labels, weights),
-                              put_along_axis_cross_entropy_backward(logits, labels, weights))
+        weights = np.where(rng.random((n, h, w)) < 0.3, 0.0, rng.uniform(0.5, 2.0, (n, h, w)))
+        got = cross_entropy_backward(logits, labels, weights)
+        assert got.tobytes() == put_along_axis_cross_entropy_backward(logits, labels, weights).tobytes()
 
     def test_backward_matches_fd(self):
         rng = np.random.default_rng(1)

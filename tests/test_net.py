@@ -885,6 +885,25 @@ class TestEvaluate:
             tracemalloc.stop()
         assert peak < 32 << 20, f"{peak / 2**20:.1f} MiB"
 
+    def test_peak_memory_does_not_grow_with_split_length(self):
+        # metrics come from per-chunk tallies, so a split 8x longer holds no
+        # more; whole-split prediction and label maps grew by 2 x 8 bytes
+        # a pixel per sample, 56 chunks' worth here
+        cfg = toy_config(loss_kind="off")
+        net = self.net(cfg)
+        samples = eval_samples(512)
+        evaluate(net, cfg, samples[:8])  # geometry caches
+        peaks = []
+        for split in (samples[:64], samples):
+            tracemalloc.start()
+            try:
+                evaluate(net, cfg, split)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        chunk_share = 2 * lau.net._EVAL_CHUNK * 16 * 16 * 8  # one chunk's prediction and label maps
+        assert peaks[1] - peaks[0] < chunk_share, peaks
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):

@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lau.core import LabelMap, ShapeError
+from lau.core import IGNORE, LabelMap, ShapeError
 from lau.synth import (
+    Tally,
     gen_sample,
     miou,
     pix_acc,
     speckle_rate,
 )
+
+from _oracles import mask_miou, mask_pix_acc, mask_speckle_rate
 
 
 class TestGenerator:
@@ -185,3 +188,63 @@ class TestSpeckle:
     def test_too_small(self):
         with pytest.raises(ShapeError):
             speckle_rate(LabelMap(np.zeros((1, 2, 5), int), 2))
+
+
+def _draw_map(rng, shape, classes, kind):
+    if kind == "single":
+        labels = np.full(shape, rng.integers(0, classes))
+    elif kind == "ignored":
+        labels = np.full(shape, IGNORE)
+    else:
+        labels = rng.integers(IGNORE, classes, shape)
+    return LabelMap(labels, classes)
+
+
+def _outcome(fn, *args):
+    """The float a metric returns, or the type and text of what it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:  # ShapeError included
+        return type(exc), str(exc)
+
+
+KINDS = st.sampled_from(["mixed", "single", "ignored"])
+
+
+class TestTally:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 6), st.integers(1, 6), st.integers(2, 5), st.integers(2, 5),
+           KINDS, KINDS, st.integers(-1, 7), st.booleans(), st.integers(0, 4), st.integers(0, 2**32 - 1))
+    def test_metrics_equal_the_mask_references(self, n, h, w, pred_classes, gt_classes, pred_kind, gt_kind,
+                                               miou_classes, mismatch, cut, seed):
+        # the same float (==, not approx) or the same error, on the whole
+        # maps and on two chunks whose tallies are added
+        rng = np.random.default_rng(seed)
+        pred = _draw_map(rng, (n, h, w), pred_classes, pred_kind)
+        gt = _draw_map(rng, (n, h, w + mismatch), gt_classes, gt_kind)
+        expected = (_outcome(mask_pix_acc, pred, gt), _outcome(mask_miou, pred, gt, miou_classes),
+                    _outcome(mask_speckle_rate, pred))
+        assert (_outcome(pix_acc, pred, gt), _outcome(miou, pred, gt, miou_classes),
+                _outcome(speckle_rate, pred)) == expected
+        if mismatch or h < 3 or w < 3:
+            return
+        cut = min(cut, n)
+        parts = [Tally.of(LabelMap(pred.labels[s], pred_classes), LabelMap(gt.labels[s], gt_classes))
+                 for s in (slice(0, cut), slice(cut, n))]
+        tally = parts[0] + parts[1]
+        assert (_outcome(tally.pix_acc), _outcome(tally.miou, miou_classes),
+                _outcome(tally.speckle_rate)) == expected
+
+    def test_counts_are_confusion_diagonal_and_margins(self):
+        pred = LabelMap(np.array([[[0, 0, 1], [2, IGNORE, 1], [1, 1, 2]]]), 3)
+        gt = LabelMap(np.array([[[0, 1, 1], [2, 2, IGNORE], [0, 1, 2]]]), 3)
+        tally = Tally.of(pred, gt)
+        assert tally.hits.tolist() == [1, 2, 2]
+        assert tally.predicted.tolist() == [2, 3, 2]  # the IGNORE prediction is no class
+        assert tally.true.tolist() == [2, 3, 3]
+        assert (tally.isolated, tally.interior) == (1, 1)
+
+    def test_empty_maps_have_no_interior(self):
+        # the whole-map speckle rate divided 0 by 0 here, a nan and a RuntimeWarning
+        with pytest.raises(ShapeError, match="no interior pixels"):
+            speckle_rate(LabelMap(np.zeros((0, 5, 5), int), 2))
