@@ -24,6 +24,7 @@ __all__ = [
     "LabelMap",
     "as_tensor4",
     "atomic_write",
+    "label_dtype",
     "read_tensor",
     "write_tensor",
 ]
@@ -68,22 +69,46 @@ def as_tensor4(a) -> np.ndarray:
     return arr
 
 
+def label_dtype(num_classes: int) -> np.dtype:
+    """The narrowest signed integer type that holds IGNORE and every class below num_classes.
+
+    int8 up to 128 classes, then int16 and int32; int64 at most, so a larger
+    class count stores the classes int64 can hold.
+    """
+    for bits, dtype in ((8, np.int8), (16, np.int16), (32, np.int32)):
+        if num_classes <= 1 << (bits - 1):  # classes 0 .. 2**(bits - 1) - 1
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
 @dataclass
 class LabelMap:
-    """Integer class assignments per pixel; IGNORE marks unsupervised pixels."""
+    """Integer class assignments per pixel; IGNORE marks unsupervised pixels.
 
-    labels: np.ndarray  # (n, h, w) integer array
+    The labels are stored as label_dtype(num_classes). Any bool, integer or
+    float array is accepted whose values are all exact integers in
+    {IGNORE} u [0, num_classes): they are checked in the input's own type,
+    so no value can wrap or round on the way in.
+    """
+
+    labels: np.ndarray  # (n, h, w), label_dtype(num_classes)
     num_classes: int
 
     def __post_init__(self):
-        self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
-        if self.labels.ndim != 3:
-            raise ShapeError(f"labels must be (n, h, w), got shape {self.labels.shape}")
+        raw = np.asarray(self.labels)
+        if raw.ndim != 3:
+            raise ShapeError(f"labels must be (n, h, w), got shape {raw.shape}")
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        bad = (self.labels != IGNORE) & ((self.labels < 0) | (self.labels >= self.num_classes))
-        if bad.any():
-            raise ValueError(f"labels must be {IGNORE} (ignored) or in [0, num_classes)")
+        if raw.dtype.kind not in "biuf":
+            raise ValueError(f"labels must be a bool, integer or float array, got dtype {raw.dtype}")
+        top = min(self.num_classes, 1 << 63) - 1  # the top class, at most int64's largest
+        if raw.size:
+            integral = raw.dtype.kind != "f" or np.array_equal(raw, np.floor(raw))  # False at NaN
+            # .item() gives Python numbers, which compare with top exactly
+            if not (integral and raw.min().item() >= IGNORE and raw.max().item() <= top):
+                raise ValueError(f"labels must be {IGNORE} (ignored) or in [0, num_classes)")
+        self.labels = np.ascontiguousarray(raw, dtype=label_dtype(self.num_classes))
 
     @property
     def n(self) -> int:

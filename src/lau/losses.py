@@ -160,8 +160,9 @@ def _true_class(logits: np.ndarray, labels: LabelMap):
             f"logit spatial dims {(n, h, w)} != labels {(labels.n, labels.h, labels.w)}"
         )
     valid = labels.valid
-    safe = np.where(valid, labels.labels, 0)
-    flat = (np.arange(n).reshape(n, 1, 1) * c + safe) * (h * w) + np.arange(h * w).reshape(1, h, w)
+    safe = np.where(valid, labels.labels, 0)  # the labels' narrow type; the intp terms widen it
+    rows = np.arange(n, dtype=np.intp).reshape(n, 1, 1) * c
+    flat = (rows + safe) * (h * w) + np.arange(h * w, dtype=np.intp).reshape(1, h, w)
     return valid, flat
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import LabelMap, Rng, ShapeError, mix_seed
+from .core import LabelMap, Rng, ShapeError, label_dtype, mix_seed
 
 # Label maps drawn per sample before giving up on finding two classes. Seeds
 # 0-10 need at most 3 redraws at 64 px and 35 at 2 px; a 1 px map never has
@@ -45,7 +45,7 @@ def _draw_labels(rng: Rng, height: int, width: int, num_classes: int) -> np.ndar
     # Shapes are large on purpose: they keep the class distribution roughly
     # balanced, which a from-scratch net needs to learn every class within
     # the default iteration budget.
-    labels = np.zeros((height, width), dtype=np.int64)
+    labels = np.zeros((height, width), dtype=label_dtype(num_classes))
     yy, xx = np.ogrid[0:height, 0:width]
     for _ in range(rng.randint(2, 6)):
         cls = rng.randint(0, num_classes)
@@ -89,7 +89,8 @@ def gen_sample(seed: int, index: int, height: int, width: int, num_classes: int,
         if size < stride or size % stride:
             raise ValueError(f"{name} must be a positive multiple of stride {stride}, got {size}")
     # numpy cannot index larger one-hot maps and fails in its own terms
-    # (np.arange(2**63 - 1) is even empty); this also keeps labels in int64
+    # (np.arange(2**63 - 1) is even empty); this also keeps every class
+    # within int64, the widest label type
     if num_classes * height * width * 8 > np.iinfo(np.intp).max:
         raise ValueError(f"num_classes {num_classes} x height {height} x width {width}: one-hot map too large")
     if not (math.isfinite(noise_std) and noise_std >= 0):
@@ -119,7 +120,9 @@ class Tally:
     union's, so a split is scored chunk by chunk, dividing the same integers.
     """
 
-    hits: np.ndarray  # (C,) int64, C the larger class count of the pair; so are predicted and true
+    # (C,) intp counts, whatever the labels' type; C is the larger class
+    # count of the pair. So are predicted and true.
+    hits: np.ndarray
     predicted: np.ndarray
     true: np.ndarray
     isolated: int
@@ -136,7 +139,9 @@ class Tally:
         mid = x[:, 1:-1, 1:-1]
         isolated = ((mid != x[:, :-2, 1:-1]) & (mid != x[:, 2:, 1:-1])
                     & (mid != x[:, 1:-1, :-2]) & (mid != x[:, 1:-1, 2:]))
-        return cls(np.bincount(g[p == g], minlength=c), np.bincount(p + 1, minlength=c + 1)[1:],
+        # widened first: an int8 prediction of class 127 plus 1 would wrap to -128
+        predicted = np.bincount(p.astype(np.intp) + 1, minlength=c + 1)[1:]
+        return cls(np.bincount(g[p == g], minlength=c), predicted,
                    np.bincount(g, minlength=c), isolated.sum(), mid.size)
 
     def __add__(self, other: Tally) -> Tally:

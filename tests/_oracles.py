@@ -12,10 +12,11 @@ paths must reproduce exactly.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
-from lau.core import LabelMap, ShapeError
+from lau.core import IGNORE, LabelMap, ShapeError
 from lau.losses import CandidateSet, CoordinateMap, LossMap, cross_entropy_map, smooth_l1, smooth_l1_grad
 from lau.net import loss_and_grads
 from lau.samplers import (
@@ -181,6 +182,14 @@ def np_pad_reference(x, kernel):
     """Zero padding by (kernel - 1) // 2 on both spatial axes, through np.pad."""
     pad = (kernel - 1) // 2
     return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+
+
+def int64_labels(labels):
+    """`labels` with its labels widened to int64, which LabelMap itself never stores below
+    2**63 classes: the attributes the references read, for any class count."""
+    wide = labels.labels.astype(np.int64)
+    n, h, w = wide.shape
+    return SimpleNamespace(labels=wide, num_classes=labels.num_classes, n=n, h=h, w=w, valid=wide != IGNORE)
 
 
 def take_along_axis_cross_entropy(logits, labels):

@@ -1,9 +1,10 @@
-"""Tensor plumbing, RNG, and binary dump tests."""
+"""Tensor plumbing, label maps, RNG, and binary dump tests."""
 
 import numpy as np
 import pytest
 
 from lau.core import (
+    IGNORE,
     LabelMap,
     Rng,
     ShapeError,
@@ -12,6 +13,17 @@ from lau.core import (
     mix_seed,
     read_tensor,
     write_tensor,
+)
+from lau.losses import cross_entropy_backward, cross_entropy_map
+from lau.synth import miou, pix_acc, speckle_rate
+
+from _oracles import (
+    int64_labels,
+    mask_miou,
+    mask_pix_acc,
+    mask_speckle_rate,
+    put_along_axis_cross_entropy_backward,
+    take_along_axis_cross_entropy,
 )
 
 
@@ -208,6 +220,54 @@ class TestLabelMap:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             LabelMap(np.array([[[5]]]), 3)
+
+
+# Each class count at or next to a boundary of the label type, with the type
+# its labels are stored in. The largest class int64 holds is 2**63 - 1.
+EDGE_CLASS_COUNTS = [(2, np.int8), (127, np.int8), (128, np.int8), (129, np.int16), (32768, np.int16),
+                     (32769, np.int32), (2**70, np.int64)]
+# 2**70 classes take no metric, which counts per class, nor logits, one channel a class
+COUNTABLE_CLASS_COUNTS = [c for c, _ in EDGE_CLASS_COUNTS if c < 2**63]
+
+
+def top_class_maps(num_classes):
+    """A prediction and ground truth in which the top class is predicted and true, at hits and at misses."""
+    top = min(num_classes, 2**63) - 1
+    gt = np.array([[[0, top, top, IGNORE], [top, 1, 0, top], [0, 0, top, 1], [IGNORE, top, 0, 0]]])
+    pred = np.array([[[0, top, 1, top], [top, 0, 0, top], [top, 0, top, 1], [0, top, 1, IGNORE]]])
+    return LabelMap(pred, num_classes), LabelMap(gt, num_classes)
+
+
+class TestClassCountEdges:
+    @pytest.mark.parametrize("num_classes, dtype", EDGE_CLASS_COUNTS)
+    def test_labels_are_stored_in_the_narrowest_type(self, num_classes, dtype):
+        pred, gt = top_class_maps(num_classes)
+        for lm in (pred, gt):
+            assert lm.labels.dtype == dtype and lm.labels.flags.c_contiguous
+        assert gt.labels.tolist() == int64_labels(gt).labels.tolist()
+        assert gt.labels.max() == min(num_classes, 2**63) - 1
+
+    @pytest.mark.parametrize("num_classes", COUNTABLE_CLASS_COUNTS)
+    def test_metrics_equal_the_int64_references(self, num_classes):
+        # at 128 classes an int8 prediction of class 127 shifted by one for
+        # the predicted counts would wrap to -128
+        pred, gt = top_class_maps(num_classes)
+        wide_pred, wide_gt = int64_labels(pred), int64_labels(gt)
+        assert pix_acc(pred, gt) == mask_pix_acc(wide_pred, wide_gt)
+        assert miou(pred, gt, num_classes) == mask_miou(wide_pred, wide_gt, num_classes)
+        assert speckle_rate(pred) == mask_speckle_rate(wide_pred)
+
+    @pytest.mark.parametrize("num_classes", COUNTABLE_CLASS_COUNTS)
+    def test_cross_entropy_equals_the_along_axis_references(self, num_classes):
+        _, gt = top_class_maps(num_classes)
+        rng = np.random.default_rng(num_classes)
+        logits = rng.normal(scale=10.0, size=(1, num_classes, 4, 4))
+        weights = rng.uniform(0.5, 2.0, (1, 4, 4))
+        wide = int64_labels(gt)
+        got = cross_entropy_map(logits, gt).values
+        assert got.tobytes() == take_along_axis_cross_entropy(logits, wide).tobytes()
+        got = cross_entropy_backward(logits, gt, weights)
+        assert got.tobytes() == put_along_axis_cross_entropy_backward(logits, wide, weights).tobytes()
 
 
 class TestAtomicWrite:

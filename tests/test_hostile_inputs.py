@@ -7,8 +7,10 @@ such as a TypeError, OverflowError or MemoryError, is a bug. The `lau demo`
 property runs the command itself and requires exit 0, 1 or 2 with at most one
 error line, and so do the `lau train` and `lau sweep` properties, on tiny
 configs; the `lau gradcheck` property draws only argument lists argparse
-refuses, since a valid run takes seconds. The runs are derandomized with
-fixed example counts, so every run tries the same inputs.
+refuses, since a valid run takes seconds. The `LabelMap` property is
+stricter: a drawn array builds a map of exactly its values exactly when every
+value is a label, raises ValueError otherwise, and never warns. The runs are
+derandomized with fixed example counts, so every run tries the same inputs.
 """
 
 import contextlib
@@ -16,15 +18,18 @@ import io
 import json
 import math
 import os
+import warnings
 from unittest import mock
 from dataclasses import fields
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lau.cli import ExperimentConfig, main
-from lau.core import ConfigError, Rng, ShapeError, read_tensor, write_tensor
+from lau.core import IGNORE, ConfigError, LabelMap, Rng, ShapeError, read_tensor, write_tensor
 from lau.net import build_net, load_checkpoint, save_checkpoint
 from lau.samplers import CORNERS
 
@@ -103,6 +108,89 @@ def test_read_tensor_on_forged_headers(tmp_path_factory, dims, slack):
     except CLEAN_ERRORS:
         return
     assert u.shape == tuple(dims) and values == count
+
+
+def stored_label_type(num_classes):
+    """The type LabelMap stores labels in, from the rule rather than the library."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if num_classes <= np.iinfo(dtype).max + 1:
+            return dtype
+    return np.int64
+
+
+def is_label(value, num_classes) -> bool:
+    """IGNORE, or an exact integer class below num_classes that int64 can hold."""
+    if value == IGNORE:
+        return True
+    return math.isfinite(value) and value == int(value) and 0 <= value < min(num_classes, 2**63)
+
+
+LABEL_DTYPES = [np.bool_, np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64,
+                np.float16, np.float32, np.float64]
+
+
+@st.composite
+def label_arrays(draw):
+    """A rank-3 array of one of LABEL_DTYPES, often holding valid labels, maybe a transposed view."""
+    dtype = np.dtype(draw(st.sampled_from(LABEL_DTYPES)))
+    elements = hnp.from_dtype(dtype)
+    if dtype.kind != "b":
+        elements = elements | st.integers(0 if dtype.kind == "u" else IGNORE, 3)
+    shape = draw(hnp.array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=3))
+    arr = draw(hnp.arrays(dtype, shape, elements=elements))
+    return arr.transpose(draw(st.permutations(range(3))))
+
+
+@settings(max_examples=400, **FIXED)
+@given(label_arrays(), st.integers(2, 5) | st.integers(-2, 2**70)
+       | st.sampled_from([127, 128, 129, 32768, 32769, 2**31, 2**31 + 1, 2**63, 2**63 + 1]))
+def test_label_map_on_arbitrary_arrays(arr, num_classes):
+    # a map of exactly the input's values in the narrow type, or a
+    # ValueError (ShapeError is one), and never a numpy warning on the way
+    values = arr.ravel().tolist()
+    ok = num_classes >= 2 and all(is_label(v, num_classes) for v in values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            lm = LabelMap(arr, num_classes)
+        except ValueError:
+            assert not ok, (arr, num_classes)
+            return
+    assert ok, (arr, num_classes)
+    assert lm.labels.dtype == stored_label_type(num_classes) and lm.labels.flags.c_contiguous
+    assert lm.labels.shape == arr.shape and lm.labels.ravel().tolist() == values
+
+
+@pytest.mark.parametrize("raw", [
+    np.array([[[2**64 - 1]]], dtype=np.uint64),  # read as IGNORE when cast to int64
+    np.array([[[2.7]]]),  # read as class 2
+    np.array([[[1e30]]]),  # refused, after numpy's "invalid value encountered in cast"
+    np.array([[[np.nan, 1.0]]]),
+    np.array([[[-np.inf]]]),
+    np.array([[[-2]]], dtype=np.int8),
+], ids=["uint64_max", "fraction", "huge_float", "nan", "minus_inf", "below_ignore"])
+def test_label_map_refuses_what_is_no_label_without_a_warning(raw):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="ignored"):
+            LabelMap(raw, 4)
+
+
+@pytest.mark.parametrize("raw", [
+    np.array([[[2**70]]], dtype=object),  # an OverflowError when cast to int64
+    np.array([[[1 + 0j]]]),
+    np.array([[["1"]]]),
+], ids=["object", "complex", "str"])
+def test_label_map_refuses_non_numeric_dtypes(raw):
+    with pytest.raises(ValueError, match="dtype"):
+        LabelMap(raw, 4)
+
+
+def test_label_map_accepts_valid_bool_unsigned_and_float_labels():
+    assert LabelMap(np.array([[[True, False]]]), 2).labels.tolist() == [[[1, 0]]]
+    assert LabelMap(np.array([[[0, 3]]], dtype=np.uint64), 4).labels.tolist() == [[[0, 3]]]
+    lm = LabelMap(np.array([[[-1.0, -0.0, 3.0]]], dtype=np.float32), 4)
+    assert lm.labels.dtype == np.int8 and lm.labels.tolist() == [[[-1, 0, 3]]]
 
 
 def _net():

@@ -887,8 +887,9 @@ class TestEvaluate:
 
     def test_peak_memory_does_not_grow_with_split_length(self):
         # metrics come from per-chunk tallies, so a split 8x longer holds no
-        # more; whole-split prediction and label maps grew by 2 x 8 bytes
-        # a pixel per sample, 56 chunks' worth here
+        # more. Whole-split int64 prediction and label maps grew by 2 x 8
+        # bytes a pixel per sample, 56 chunks' worth here; with labels in
+        # int8, one whole-split map of the 448 extra samples is 112 KiB
         cfg = toy_config(loss_kind="off")
         net = self.net(cfg)
         samples = eval_samples(512)
@@ -901,8 +902,32 @@ class TestEvaluate:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        chunk_share = 2 * lau.net._EVAL_CHUNK * 16 * 16 * 8  # one chunk's prediction and label maps
+        chunk_share = 2 * lau.net._EVAL_CHUNK * 16 * 16 * 8  # one chunk's prediction and label maps in int64
         assert peaks[1] - peaks[0] < chunk_share, peaks
+
+
+class TestLabelStorage:
+    # a 4-class label takes one byte, where int64 took eight
+
+    def test_default_datasets_hold_under_3_mib(self):
+        # int64 labels held 10.9 MiB: 320 maps of 64 x 64 at 8 bytes
+        tracemalloc.start()
+        try:
+            splits = ExperimentConfig().datasets()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert sum(len(split) for split in splits) == 320
+        assert held < 3 << 20, f"{held / 2**20:.1f} MiB"
+
+    def test_default_batch_labels_take_32_kib(self):
+        ec = ExperimentConfig(train_count=8, val_count=1)
+        cfg = ec.to_train_config()
+        samples = ec.datasets()[0]
+        labels = lau.net._stack_labels(samples, range(cfg.batch), cfg.num_classes)
+        assert labels.labels.dtype == np.int8 and labels.labels.nbytes == 32 << 10
+        wide = np.concatenate([s.labels.labels.astype(np.int64) for s in samples])
+        assert np.array_equal(labels.labels, wide)
 
 
 class TestCheckpoint:
