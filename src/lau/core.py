@@ -133,9 +133,10 @@ class Rng:
 
     Pure 64-bit integer arithmetic, so sequences are bit-identical across
     platforms for a given seed. The state is a Weyl sequence, seed + i*gamma
-    mod 2^64, so `uniforms` and `normals` compute a whole array of draws at
-    once; they equal the same number of scalar draws byte for byte and leave
-    the same state. Single-owner: not safe to share between concurrent tasks.
+    mod 2^64, so `uniforms` computes a whole array of draws at once; it
+    equals the same number of `uniform()` calls byte for byte and leaves the
+    same state. `normals` takes two of those uniforms per Gaussian.
+    Single-owner: not safe to share between concurrent tasks.
     """
 
     def __init__(self, seed: int):
@@ -152,13 +153,6 @@ class Rng:
         """Next float in [0, 1): the high 53 bits of one u64 over 2^53."""
         return (self.next_u64() >> 11) * 2.0**-53
 
-    def normal(self, mean: float = 0.0, std: float = 1.0) -> float:
-        """Gaussian draw via Box-Muller; consumes two uniforms per call."""
-        u1 = self.uniform()
-        u2 = self.uniform()
-        r = math.sqrt(-2.0 * math.log1p(-u1))
-        return mean + std * (r * math.cos(2.0 * math.pi * u2))
-
     def uniforms(self, shape) -> np.ndarray:
         """`uniform()` drawn prod(shape) times, in C order, as one array."""
         count = _size(shape)
@@ -173,12 +167,14 @@ class Rng:
         return ((z >> _U64_SHIFT[11]).astype(np.float64) * 2.0**-53).reshape(shape)
 
     def normals(self, shape, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
-        """`normal(mean, std)` drawn prod(shape) times, in C order, as one array.
+        """prod(shape) Box-Muller Gaussian draws, in C order, as one array.
 
-        log1p and cos are the C library's, called per element as the scalar
-        draw calls them (numpy's own can differ in the last bit); the other
-        steps are correctly rounded, so they run as array operations in the
-        scalar expression's order.
+        Each draw takes the next two uniforms u1, u2 and gives
+        mean + std * (sqrt(-2 log1p(-u1)) * cos(2 pi u2)). log1p and cos are
+        the C library's, called per element as Python's math module calls
+        them (numpy's own can differ in the last bit); the other steps are
+        correctly rounded, so they run as array operations in that
+        expression's order, and each draw equals the scalar formula's.
         """
         count = _size(shape)
         u = self.uniforms((count, 2))

@@ -170,10 +170,13 @@ def cross_entropy_map(logits: np.ndarray, labels: LabelMap) -> LossMap:
     """-log softmax probability of the true class per valid pixel, max-shifted to stay finite."""
     logits = as_tensor4(logits)
     z = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))
-    # checked and indexed once the exp temporaries are freed: done first, peak RSS rose 2-5 MB
     valid, flat = _true_class(logits, labels)
     picked = z.ravel()[flat]
+    del flat
+    # the true class is picked, so z can take exp(z) in place: one logits-sized buffer in all
+    lse = np.exp(z, out=z).sum(axis=1)
+    del z
+    np.log(lse, out=lse)
     values = np.where(valid, lse - picked, 0.0)
     # Guard against tiny negative round-off on saturated pixels.
     return LossMap(np.maximum(values, 0.0), valid)
@@ -399,7 +402,15 @@ def regression_terms(cs: CandidateSet, gamma: float, lam: float):
 
 def reduce_loss(lm: LossMap) -> float:
     """Mean loss over valid pixels."""
-    count = int(lm.valid.sum())
-    if count == 0:
+    return _valid_mean(lm.values[lm.valid])
+
+
+def _valid_mean(values: np.ndarray) -> float:
+    """Mean of the valid pixels' loss values, picked out as one 1-D array; ValueError if there are none.
+
+    evaluate reduces the concatenation of its chunks' picks with it, the
+    same array, and so the same sum, as the pick from their joined map.
+    """
+    if values.size == 0:
         raise ValueError("loss reduction over zero valid pixels")
-    return float(lm.values[lm.valid].sum() / count)
+    return float(values.sum() / values.size)

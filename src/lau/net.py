@@ -21,6 +21,7 @@ import numpy as np
 from .core import ConfigError, LabelMap, Rng, ShapeError, _read_dump, _write_dump, as_tensor4, atomic_write
 from .losses import (
     LossMap,
+    _valid_mean,
     build_candidate_set,
     cross_entropy_backward,
     cross_entropy_map,
@@ -338,6 +339,7 @@ def network_forward(net: SegNet, x: np.ndarray):
 def network_backward(net: SegNet, cache, dlogits: np.ndarray, doff_extra: OffsetField | None = None):
     """Backpropagate dlogits (plus any direct offset gradient) to all layers."""
     dv1 = bilinear_upsample_backward(cache["v1"].shape, cache["rest"], dlogits)
+    del dlogits  # its last read: freed here, since loss_and_grads keeps no other reference
     grads = {}
     if net.predictor is not None:
         du, doff = lau_backward(cache["u"], cache["off"], net.lau_ratio, dv1)
@@ -520,41 +522,67 @@ def loss_and_grads(net: SegNet, cfg: TrainConfig, features, labels: LabelMap):
     evaluate builds its loss maps with the same _loss_forward. Returns
     (scalar, logits, backward); backward() runs the backward pass and
     returns the parameter gradients in _params order, so a caller that
-    needs only the value never pays for it. It reads the layer
-    weights when called: call it before changing any parameter. It also
-    holds the forward cache, so callers should not keep it past its use.
+    needs only the value never pays for it. It reads the layer weights when
+    called: call it before changing any parameter, and call it at most
+    once. Until then it holds the logits and the forward cache. It drops
+    the logits and the CE weight map once the logits' gradient exists and
+    keeps no reference to that gradient, so unless the caller kept the
+    logits they are freed before the network's backward pass, and their
+    gradient after its first stage.
     """
     logits, cache = network_forward(net, features)
     loss, grad_terms = _loss_forward(net, cfg, logits, cache, labels)
     scalar = reduce_loss(loss)  # rejects a batch with no valid pixels
+    held = [logits]  # popped at its last use, so the thunk keeps no reference past it
 
     def backward():
         weights, doff_extra = grad_terms()
-        dlogits = cross_entropy_backward(logits, labels, weights)
-        grads = network_backward(net, cache, dlogits, doff_extra)
+        held.append(cross_entropy_backward(held.pop(), labels, weights))  # dlogits replaces the logits
+        del weights
+        grads = network_backward(net, cache, held.pop(), doff_extra)
         return [g for name, _ in net.named_layers() for g in grads[name]]
 
     return scalar, logits, backward
 
 
-# Samples per evaluate forward. A 64-sample default-config forward holds
-# 8 MiB per full-resolution map, plus as much again in lau tap indices and
-# gathered values. On a 2-core Xeon with 4 MiB of L2 per core and one BLAS
-# thread, the forward, loss and argmax over 256 lau/off samples took
-# 0.77-0.83 s in chunks of 64, 0.64-0.67 s in 32, 0.39-0.44 s in 8 and
-# 0.43-0.48 s in 4 (bilinear/ce: 0.45 s in 64, 0.26-0.29 s in 8).
+# Samples per evaluate forward. At the default config one chunk's
+# full-resolution map takes 1 MiB, where a 64-sample forward's took 8 MiB,
+# plus as much again in lau tap indices and gathered values. A chunk's maps
+# are freed before the next chunk's forward; only its valid pixels' loss
+# values, at most 32 KiB a sample, wait for the group's reduction. On a
+# 2-core Xeon with 4 MiB of L2 per core and one BLAS thread, the forward,
+# loss and argmax over 256 lau/off samples took 0.77-0.83 s in chunks of
+# 64, 0.64-0.67 s in 32, 0.39-0.44 s in 8 and 0.43-0.48 s in 4
+# (bilinear/ce: 0.45 s in 64, 0.26-0.29 s in 8).
 _EVAL_CHUNK = 8
+
+
+def _evaluate_chunk(net: SegNet, cfg: TrainConfig, samples, idx):
+    """One forward's valid loss values as a 1-D array, its count of valid labels and its tally.
+
+    The loss reads only the cache entries _loss_forward needs, and the
+    logits and cache go when this returns, before the next chunk's forward.
+    """
+    labels = _stack_labels(samples, idx, cfg.num_classes)
+    logits, cache = network_forward(net, _stack_features(samples, idx))
+    cache = {key: cache[key] for key in ("u", "off", "rest")}
+    loss = _loss_forward(net, cfg, logits, cache, labels)[0]
+    tally = synth.Tally.of(LabelMap(np.argmax(logits, axis=1), cfg.num_classes), labels)
+    # valid labels, not loss-map pixels: under reg the map is at stage resolution
+    return loss.values[loss.valid], int(labels.valid.sum()), tally
 
 
 def evaluate(net: SegNet, cfg: TrainConfig, samples) -> dict:
     """Split-level loss and metrics with the current parameters.
 
     The loss is reduced over groups of max(cfg.batch, 64) samples, each
-    weighted by its count of valid labels; a group is forwarded in chunks
-    of _EVAL_CHUNK samples, whose loss maps it concatenates before the
-    reduction, so the result does not depend on the chunk size. The
-    metrics come from the sum of each chunk's synth.Tally, so no map the
-    size of the split is ever held.
+    weighted by its count of valid labels. A group is forwarded in chunks
+    of _EVAL_CHUNK samples, each of which keeps only its valid pixels' loss
+    values; their concatenation is the 1-D array reduce_loss would pick
+    from the group's whole loss map, so the result does not depend on the
+    chunk size. The metrics come from the sum of each chunk's synth.Tally.
+    So at most one chunk's maps are held at a time, and no map the size of
+    a group or of the split is ever built.
     """
     if not samples:
         raise ValueError("evaluate needs at least one sample")
@@ -562,19 +590,15 @@ def evaluate(net: SegNet, cfg: TrainConfig, samples) -> dict:
     loss_count = 0
     tally = None
     for lo, hi in _batches(len(samples), max(cfg.batch, 64)):
-        maps = []
-        nv = 0  # valid labels, not loss-map pixels: under reg the map is at stage resolution
+        values = []
+        nv = 0
         for start in range(lo, hi, _EVAL_CHUNK):
-            idx = range(start, min(start + _EVAL_CHUNK, hi))
-            labels = _stack_labels(samples, idx, cfg.num_classes)
-            logits, cache = network_forward(net, _stack_features(samples, idx))
-            maps.append(_loss_forward(net, cfg, logits, cache, labels)[0])
-            nv += int(labels.valid.sum())
-            chunk = synth.Tally.of(LabelMap(np.argmax(logits, axis=1), cfg.num_classes), labels)
+            chunk_values, chunk_nv, chunk = _evaluate_chunk(net, cfg, samples,
+                                                            range(start, min(start + _EVAL_CHUNK, hi)))
+            values.append(chunk_values)
+            nv += chunk_nv
             tally = chunk if tally is None else tally + chunk
-        # bound to no name, so it is freed before the next group's forwards
-        loss_sum += reduce_loss(LossMap(np.concatenate([m.values for m in maps]),
-                                        np.concatenate([m.valid for m in maps]))) * nv
+        loss_sum += _valid_mean(np.concatenate(values)) * nv
         loss_count += nv
     return {
         "loss": loss_sum / loss_count,

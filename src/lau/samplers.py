@@ -198,24 +198,29 @@ def _phase_stage(a: np.ndarray, f: np.ndarray, k: int, axis: int) -> np.ndarray:
     return out
 
 
-def _phase_adjoint(first: np.ndarray, second: np.ndarray, k: int, axis: int) -> np.ndarray:
-    """Adjoint of _phase_stage, given each output's weighted gradient for its
-    first tap (line j) and its second tap (line j + 1, clamped).
+def _phase_adjoint(d: np.ndarray, f: np.ndarray, k: int, axis: int) -> np.ndarray:
+    """Adjoint of _phase_stage: the gradient d of its output, scattered back
+    onto its input with the same fractions f.
 
-    Input line j adds, in this order: its own k first-tap terms, the k
-    second-tap terms of line j - 1, and on the last line its own k second-tap
-    terms (the replicated border). That is the order of a scatter of every
-    first-tap term in output order followed by every second-tap term, so
-    each entry's sum rounds the same way.
+    Each output's first tap (line j) takes d * (1 - f) and its second tap
+    (line j + 1, clamped) d * f, formed one phase slice at a time, so no
+    weighted copy of d is held whole. Input line j adds, in this order: its
+    own k first-tap terms, the k second-tap terms of line j - 1, and on the
+    last line its own k second-tap terms (the replicated border). That is
+    the order of a scatter of every first-tap term in output order followed
+    by every second-tap term, so each entry's sum rounds the same way.
     """
-    m = first.shape[axis] // k
-    out = np.zeros(first.shape[:axis] + (m,) + first.shape[axis + 1 :])
+    m = d.shape[axis] // k
+    f = f.reshape((-1,) + (1,) * (3 - axis))
+    out = np.zeros(d.shape[:axis] + (m,) + d.shape[axis + 1 :])
     for p in range(k):
-        out += first[_along(axis, slice(p, None, k))]
+        out += d[_along(axis, slice(p, None, k))] * (1.0 - f[p::k])
     for p in range(k):
-        out[_along(axis, slice(1, None))] += second[_along(axis, slice(p, (m - 1) * k, k))]
+        inner = slice(p, (m - 1) * k, k)
+        out[_along(axis, slice(1, None))] += d[_along(axis, inner)] * f[inner]
     for p in range(k):
-        out[_along(axis, -1)] += second[_along(axis, (m - 1) * k + p)]
+        last = (m - 1) * k + p
+        out[_along(axis, -1)] += d[_along(axis, last)] * f[last]
     return out
 
 
@@ -245,8 +250,7 @@ def bilinear_upsample_backward(in_shape, k: int, dv: np.ndarray) -> np.ndarray:
     if k == 1:
         return dv
     fx, fy = _upsample_fractions(h, w, k)
-    dt = _phase_adjoint(dv * (1.0 - fy)[:, None], dv * fy[:, None], k, 2)
-    return _phase_adjoint(dt * (1.0 - fx), dt * fx, k, 3)
+    return _phase_adjoint(_phase_adjoint(dv, fy, k, 2), fx, k, 3)
 
 
 def lau_source_coords(off: OffsetField, k: int):
@@ -311,20 +315,22 @@ def lau_backward(u: np.ndarray, off: OffsetField, k: int, dv: np.ndarray):
     if dv.shape != t[0].shape:
         raise ShapeError(f"dv shape {dv.shape} != output {t[0].shape}")
 
-    # One scatter in tap order: bincount adds in input order, so each dU
-    # entry sums its contributions exactly as four sequential passes would.
-    weights = np.stack([(1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx])
-    du = np.bincount((plane + pixels).ravel(), (dv * weights).ravel(), u.size).reshape(u.shape)
-
     # Kernel slope terms. fx == 0 on a column hit, where the symmetric
     # subgradient is 0, and on every point clamped from outside the grid;
     # the (fx > 0) mask also guarantees x1 = x0 + 1 is a genuine neighbor.
     sx = (t[1] - t[0]) * (1 - fy) + (t[3] - t[2]) * fy
     sy = (t[2] - t[0]) * (1 - fx) + (t[3] - t[1]) * fx
+    del t  # their last read: the scatter's indices and values are each as large as all four
     gx = dv * sx * (fx > 0.0)
     gy = dv * sy * (fy > 0.0)
+    del sx, sy
     if off.m == 1:
         gx, gy = gx.sum(axis=1, keepdims=True), gy.sum(axis=1, keepdims=True)
+
+    # One scatter in tap order: bincount adds in input order, so each dU
+    # entry sums its contributions exactly as four sequential passes would.
+    weights = np.stack([(1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx])
+    du = np.bincount((plane + pixels).ravel(), (dv * weights).ravel(), u.size).reshape(u.shape)
     return du, OffsetField(gx, gy)
 
 

@@ -14,11 +14,11 @@ never need to be stored to be reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabelMap, Rng, ShapeError, label_dtype, mix_seed
+from .core import IGNORE, LabelMap, Rng, ShapeError, label_dtype, mix_seed
 
 # Label maps drawn per sample before giving up on finding two classes. Seeds
 # 0-10 need at most 3 redraws at 64 px and 35 at 2 px; a 1 px map never has
@@ -109,6 +109,16 @@ def gen_sample(seed: int, index: int, height: int, width: int, num_classes: int,
     return SynthSample(features[None], LabelMap(labels[None], num_classes))
 
 
+def _ascending(*arrays) -> np.ndarray:
+    """The distinct values of integer arrays, ascending, as intp.
+
+    Python's set and sort: np.unique imports numpy.ma the first time it
+    runs, which would add half a MiB of modules (under tracemalloc) to
+    every process that evaluates.
+    """
+    return np.array(sorted(set().union(*(a.tolist() for a in arrays))), dtype=np.intp)
+
+
 @dataclass(frozen=True, eq=False)
 class Tally:
     """Exact integer counts behind pix_acc, miou and speckle_rate.
@@ -120,32 +130,56 @@ class Tally:
     union's, so a split is scored chunk by chunk, dividing the same integers.
     """
 
-    # (C,) intp counts, whatever the labels' type; C is the larger class
-    # count of the pair. So are predicted and true.
+    # (K,) intp counts, whatever the labels' type, one per entry of classes.
+    # So are predicted and true.
     hits: np.ndarray
     predicted: np.ndarray
     true: np.ndarray
     isolated: int
     interior: int
+    # The ascending classes counted: of builds 0 up to the largest class
+    # that occurs or, where that would outnumber the pixels, only the
+    # classes that occur, so any class count is scored. None means 0..K-1.
+    classes: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.classes is None:
+            object.__setattr__(self, "classes", np.arange(len(self.hits)))
 
     @classmethod
     def of(cls, pred: LabelMap, gt: LabelMap) -> Tally:
         if (pred.n, pred.h, pred.w) != (gt.n, gt.h, gt.w):
             raise ShapeError(f"prediction dims {(pred.n, pred.h, pred.w)} != ground truth {(gt.n, gt.h, gt.w)}")
-        c = max(pred.num_classes, gt.num_classes)
         valid = gt.valid
         p, g = pred.labels[valid], gt.labels[valid]
+        top = max(int(p.max(initial=IGNORE)), int(g.max(initial=IGNORE)))
+        if top < g.size:
+            classes = np.arange(top + 1)
+        else:  # each label becomes its position among the classes that occur; IGNORE stays -1
+            classes = _ascending(p[p != IGNORE], g)
+            p = np.where(p == IGNORE, IGNORE, np.searchsorted(classes, p))
+            g = np.searchsorted(classes, g)
+        k = classes.size
         x = pred.labels
         mid = x[:, 1:-1, 1:-1]
         isolated = ((mid != x[:, :-2, 1:-1]) & (mid != x[:, 2:, 1:-1])
                     & (mid != x[:, 1:-1, :-2]) & (mid != x[:, 1:-1, 2:]))
         # widened first: an int8 prediction of class 127 plus 1 would wrap to -128
-        predicted = np.bincount(p.astype(np.intp) + 1, minlength=c + 1)[1:]
-        return cls(np.bincount(g[p == g], minlength=c), predicted,
-                   np.bincount(g, minlength=c), isolated.sum(), mid.size)
+        predicted = np.bincount(p.astype(np.intp) + 1, minlength=k + 1)[1:]
+        return cls(np.bincount(g[p == g], minlength=k), predicted,
+                   np.bincount(g, minlength=k), isolated.sum(), mid.size, classes)
 
     def __add__(self, other: Tally) -> Tally:
-        return Tally(*(getattr(self, f.name) + getattr(other, f.name) for f in fields(self)))
+        """The two tallies' counts added class by class, over the classes of either."""
+        classes = _ascending(self.classes, other.classes)
+
+        def spread(t: Tally, name: str) -> np.ndarray:  # t's counts padded out to every class of the sum
+            out = np.zeros(classes.size, np.intp)
+            out[np.searchsorted(classes, t.classes)] = getattr(t, name)
+            return out
+
+        counts = [spread(self, name) + spread(other, name) for name in ("hits", "predicted", "true")]
+        return Tally(*counts, self.isolated + other.isolated, self.interior + other.interior, classes)
 
     def pix_acc(self) -> float:
         total = int(self.true.sum())
@@ -155,7 +189,8 @@ class Tally:
 
     def miou(self, num_classes: int) -> float:
         union = self.predicted + self.true - self.hits
-        ious = [int(i) / int(u) for i, u in zip(self.hits[: max(num_classes, 0)], union) if u]
+        kept = self.classes < num_classes
+        ious = [int(i) / int(u) for i, u in zip(self.hits[kept], union[kept]) if u]
         if not ious:
             raise ValueError("no classes present")
         return float(np.mean(ious))

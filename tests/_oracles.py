@@ -8,10 +8,13 @@ np.take_along_axis cross-entropy, an evaluate with one forward per loss
 group that scores whole-split masks, and a regression candidate set built
 one corner at a time: the byte baseline that the library's matmul,
 phase-sliced, buffer-padding, flat-index, chunked, tallied and stacked
-paths must reproduce exactly.
+paths must reproduce exactly. The scalar Box-Muller draw is the reference
+for Rng.normals, and traced_peak is the one tracemalloc reading that the
+memory bounds share.
 """
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,6 +30,20 @@ from lau.samplers import (
     corner_upsample,
     lau_source_coords,
 )
+
+
+def traced_peak(fn):
+    """(fn(), the peak bytes tracemalloc counted while fn ran).
+
+    Only blocks allocated during the call count, so inputs built before it
+    do not, and the result is alive at the peak's reading.
+    """
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def oracle_kernel_sum(u, k, dx=None, dy=None, m=1):
@@ -184,6 +201,15 @@ def np_pad_reference(x, kernel):
     return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
 
 
+def scalar_normal(rng, mean=0.0, std=1.0):
+    """One Box-Muller Gaussian from rng's next two uniforms, in scalar math:
+    the reference that Rng.normals must equal draw for draw."""
+    u1 = rng.uniform()
+    u2 = rng.uniform()
+    r = math.sqrt(-2.0 * math.log1p(-u1))
+    return mean + std * (r * math.cos(2.0 * math.pi * u2))
+
+
 def int64_labels(labels):
     """`labels` with its labels widened to int64, which LabelMap itself never stores below
     2**63 classes: the attributes the references read, for any class count."""
@@ -324,13 +350,17 @@ def mask_pix_acc(pred, gt):
 
 
 def mask_miou(pred, gt, num_classes):
-    """miou with one pair of class masks per class over the whole maps."""
+    """miou with one pair of class masks over the whole maps per class that occurs.
+
+    The classes are Python ints taken from the maps, so any class count
+    works; a class in neither map would add no IoU to the mean.
+    """
     _check_pair(pred, gt)
     valid = gt.valid
     p = pred.labels[valid]
     g = gt.labels[valid]
     ious = []
-    for cls in range(num_classes):
+    for cls in sorted(c for c in {*p.tolist(), *g.tolist()} if 0 <= c < num_classes):
         inter = int(((p == cls) & (g == cls)).sum())
         union = int(((p == cls) | (g == cls)).sum())
         if union:

@@ -4,7 +4,6 @@ import dataclasses
 import hashlib
 import re
 import sys
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -43,7 +42,8 @@ from lau.net import (
     sgd_step,
     train,
 )
-from lau.samplers import pixel_shuffle
+from lau.losses import cross_entropy_map
+from lau.samplers import OffsetField, bilinear_upsample_backward, lau_backward, pixel_shuffle
 from lau.synth import SynthSample, gen_sample
 
 from _oracles import (
@@ -52,6 +52,7 @@ from _oracles import (
     einsum_conv2d_forward,
     np_pad_reference,
     one_forward_evaluate,
+    traced_peak,
 )
 
 
@@ -844,22 +845,25 @@ class TestEvaluate:
 
     def test_forwards_chunks_and_reduces_once_per_group(self, monkeypatch):
         cfg = toy_config(loss_kind="off")
-        real_forward, real_reduce = lau.net.network_forward, lau.net.reduce_loss
+        real_forward, real_reduce = lau.net.network_forward, lau.net._valid_mean
         sizes, reduced = [], []
 
         def forward(net, x):
             sizes.append(len(x))
             return real_forward(net, x)
 
-        def reduce(lm):
-            reduced.append(lm.shape)
-            return real_reduce(lm)
+        def reduce(values):
+            reduced.append(values.shape)
+            return real_reduce(values)
 
         monkeypatch.setattr(lau.net, "network_forward", forward)
-        monkeypatch.setattr(lau.net, "reduce_loss", reduce)
-        evaluate(self.net(cfg), cfg, eval_samples(70))
+        monkeypatch.setattr(lau.net, "_valid_mean", reduce)
+        samples = eval_samples(70)
+        evaluate(self.net(cfg), cfg, samples)
         assert max(sizes) <= 8 and sum(sizes) == 70
-        assert reduced == [(64, 16, 16), (6, 16, 16)]
+        # one reduction per group, of its valid pixels' values: the guided loss is valid where the labels are
+        groups = (samples[:64], samples[64:])
+        assert reduced == [(sum(int(s.labels.valid.sum()) for s in group),) for group in groups]
 
     def test_no_samples_raise_value_error_before_any_forward(self, monkeypatch):
         # numpy's "need at least one array to concatenate" escaped before
@@ -877,12 +881,7 @@ class TestEvaluate:
         cfg = ec.to_train_config()
         samples = ec.datasets()[0]
         net = lau.net.net_for(cfg, Rng(0))
-        tracemalloc.start()
-        try:
-            evaluate(net, cfg, samples)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: evaluate(net, cfg, samples))[1]
         assert peak < 32 << 20, f"{peak / 2**20:.1f} MiB"
 
     def test_peak_memory_does_not_grow_with_split_length(self):
@@ -894,31 +893,65 @@ class TestEvaluate:
         net = self.net(cfg)
         samples = eval_samples(512)
         evaluate(net, cfg, samples[:8])  # geometry caches
-        peaks = []
-        for split in (samples[:64], samples):
-            tracemalloc.start()
-            try:
-                evaluate(net, cfg, split)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        peaks = [traced_peak(lambda: evaluate(net, cfg, split))[1] for split in (samples[:64], samples)]
         chunk_share = 2 * lau.net._EVAL_CHUNK * 16 * 16 * 8  # one chunk's prediction and label maps in int64
         assert peaks[1] - peaks[0] < chunk_share, peaks
+
+
+class TestPeakMemory:
+    # tracemalloc peaks in MiB at the default shapes, where a full-resolution
+    # (8, 4, 64, 64) map takes 1 MiB. Each bound sits between the peak of code
+    # that frees each such buffer at its last use and the peak of code that
+    # held them to the end of their functions, measured with this numpy:
+    # step lau/off 8.37 -> 6.49, lau/reg 8.60 -> 7.87, bilinear/ce 6.48 -> 4.64;
+    # evaluate of 64 samples 9.89 -> 6.76, 8.63 -> 6.59, 8.82 -> 6.13
+    STEP_AND_EVALUATE = {("lau", "off"): (7.25, 8.0), ("lau", "reg"): (8.25, 7.5),
+                         ("bilinear", "ce"): (5.5, 7.25)}
+    # the same for one op: lau_backward 3.69 -> 2.82, cross_entropy_map
+    # 2.28 -> 1.66, bilinear_upsample_backward 2.68 -> 1.13
+    OPS = {"lau_backward": 3.25, "cross_entropy_map": 1.9, "bilinear_upsample_backward": 1.75}
+
+    @pytest.mark.parametrize("part", ["step", "evaluate"])
+    @pytest.mark.parametrize("upsampler, loss", sorted(STEP_AND_EVALUATE))
+    def test_default_config_peaks(self, upsampler, loss, part):
+        ec = ExperimentConfig(upsampler=upsampler, loss=loss, train_count=64, val_count=1)
+        cfg = ec.to_train_config()
+        net = lau.net.net_for(cfg, Rng(0))
+        samples = ec.datasets()[0]
+        features = lau.net._stack_features(samples, range(cfg.batch))
+        labels = lau.net._stack_labels(samples, range(cfg.batch), cfg.num_classes)
+        run = {"step": lambda: loss_and_grads(net, cfg, features, labels)[2](),
+               "evaluate": lambda: evaluate(net, cfg, samples)}[part]
+        run()  # the shape caches fill once, outside the traced call
+        peak = traced_peak(run)[1] / 2**20
+        bound = self.STEP_AND_EVALUATE[upsampler, loss][part == "evaluate"]
+        assert peak < bound, f"{part} {peak:.2f} MiB"
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_default_shape_op_peaks(self, name):
+        rng = np.random.default_rng(0)
+        u = rng.normal(size=(8, 4, 8, 8))
+        off = OffsetField(*rng.normal(scale=0.5, size=(2, 8, 1, 32, 32)))
+        dv = rng.normal(size=(8, 4, 32, 32))  # the lau stage's output gradient
+        logits = rng.normal(size=(8, 4, 64, 64))
+        labels = LabelMap(rng.integers(0, 4, (8, 64, 64)), 4)
+        op = {"lau_backward": lambda: lau_backward(u, off, 4, dv),
+              "cross_entropy_map": lambda: cross_entropy_map(logits, labels),
+              "bilinear_upsample_backward": lambda: bilinear_upsample_backward(dv.shape, 2, logits)}[name]
+        op()
+        peak = traced_peak(op)[1] / 2**20
+        assert peak < self.OPS[name], f"{name} {peak:.2f} MiB"
 
 
 class TestLabelStorage:
     # a 4-class label takes one byte, where int64 took eight
 
     def test_default_datasets_hold_under_3_mib(self):
-        # int64 labels held 10.9 MiB: 320 maps of 64 x 64 at 8 bytes
-        tracemalloc.start()
-        try:
-            splits = ExperimentConfig().datasets()
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
+        # int64 labels held 10.9 MiB: 320 maps of 64 x 64 at 8 bytes. The
+        # peak bounds what the splits hold, and what building them took
+        splits, peak = traced_peak(lambda: ExperimentConfig().datasets())
         assert sum(len(split) for split in splits) == 320
-        assert held < 3 << 20, f"{held / 2**20:.1f} MiB"
+        assert peak < 3 << 20, f"{peak / 2**20:.1f} MiB"
 
     def test_default_batch_labels_take_32_kib(self):
         ec = ExperimentConfig(train_count=8, val_count=1)
@@ -965,13 +998,12 @@ class TestCheckpoint:
         else:
             with open(path, "wb") as fh:
                 fh.truncate(50 << 20)  # 50 MB of NUL bytes, no newline
-        tracemalloc.start()
-        try:
+        def load():
             with pytest.raises(IOError) as exc:
                 load_checkpoint(path, net)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            return exc
+
+        exc, peak = traced_peak(load)
         assert "manifest" in str(exc.value) and len(str(exc.value)) < 200
         assert peak < 1 << 20
 
