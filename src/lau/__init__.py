@@ -7,9 +7,9 @@ from .losses import (
     LossMap,
     build_candidate_set,
     cross_entropy_map,
-    offset_guided_loss,
+    guided_terms,
     reduce_loss,
-    regression_loss,
+    regression_terms,
     select_theta_opt,
     smooth_l1,
 )
@@ -38,6 +38,6 @@ from .net import (
     sgd_step,
     train,
 )
-from .synth import SynthSample, miou, pix_acc, speckle_rate
+from .synth import SynthSample, Tally
 
 __version__ = "0.1.0"

@@ -22,15 +22,7 @@ import numpy as np
 from .checks import standard_suite
 from .core import ConfigError, atomic_write, read_tensor
 from .net import TrainConfig, _check_fields, _json_key, evaluate, network_forward, save_checkpoint, train
-from .samplers import (
-    CORNERS,
-    OffsetField,
-    _check_ratio,
-    bilinear_upsample,
-    corner_upsample,
-    lau_forward,
-    pixel_shuffle,
-)
+from .samplers import CORNERS, _check_ratio, bilinear_upsample, corner_upsample, pixel_shuffle
 from .synth import gen_sample
 
 __all__ = ["ExperimentConfig", "main", "write_ppm"]
@@ -186,8 +178,6 @@ def cmd_demo(args) -> int:
                          f"{k * u.shape[2]}x{k * u.shape[3]}, more than numpy can index")
     if args.upsampler == "bilinear":
         v = bilinear_upsample(u, k)
-    elif args.upsampler == "lau":
-        v = lau_forward(u, OffsetField.zeros(u.shape[0], 1, k * u.shape[2], k * u.shape[3]), k)
     elif args.upsampler == "pixelshuffle":
         v = pixel_shuffle(u, k)
     else:
@@ -216,10 +206,16 @@ def cmd_train(args) -> int:
     with atomic_write(metrics_path) as fh:
         fh.writelines(rows)
     save_checkpoint(os.path.join(args.out, "checkpoint.bin"), net)
-    for i in range(min(4, len(val_set))):
+    shown = min(4, len(val_set))
+    for i in range(shown):
         logits, _ = network_forward(net, val_set[i].features)
         write_ppm(os.path.join(args.out, f"pred_{i}.ppm"), np.argmax(logits[0], axis=0))
         write_ppm(os.path.join(args.out, f"gt_{i}.ppm"), val_set[i].labels.labels[0])
+    for i in range(shown, 4):  # left by an earlier run into this directory with more val samples
+        for name in (f"pred_{i}.ppm", f"gt_{i}.ppm"):
+            path = os.path.join(args.out, name)
+            if os.path.exists(path):
+                os.remove(path)
     print(f"metrics written to {metrics_path}")
     print(f"final val: loss={m['loss']:.4f} pixacc={m['pixacc']:.4f} miou={m['miou']:.4f}")
     return 0
@@ -326,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="upsample a feature map and dump label images", allow_abbrev=False)
     p.add_argument("--upsampler", default="bilinear",
-                   choices=["bilinear", "lau", "pixelshuffle"] + sorted(_CORNER_NAMES))
+                   choices=["bilinear", "pixelshuffle"] + sorted(_CORNER_NAMES))
     p.add_argument("--ratio", type=int, default=2)
     p.add_argument("--in", dest="infile", default=None, help="tensor dump to upsample")
     p.add_argument("--out", default="demo", help="output directory for PPMs")

@@ -42,9 +42,7 @@ __all__ = [
     "cross_entropy_map",
     "guided_terms",
     "guided_weight",
-    "offset_guided_loss",
     "reduce_loss",
-    "regression_loss",
     "regression_terms",
     "regression_weight",
     "select_theta_opt",
@@ -239,22 +237,15 @@ def guided_weight(loss: LossMap, aux: LossMap, lam: float) -> np.ndarray:
     return np.where(loss.values < aux.values, 1.0, 1.0 + lam)
 
 
-def offset_guided_loss(loss: LossMap, aux: LossMap, lam: float) -> LossMap:
-    """Reweight the per-pixel loss by 1+lambda wherever it failed to beat `aux`.
-
-    Ties count as failures, so a zero offset is always penalized. `aux`
-    carries no gradient; differentiating this op scales the incoming
-    gradient by the weight only.
-    """
-    return guided_terms(loss, aux, lam)[0]
-
-
 def guided_terms(ce: LossMap, aux: LossMap, lam: float):
-    """offset_guided_loss(ce, aux, lam) and a thunk for its gradient.
+    """The guided loss map and a thunk for its gradient.
 
-    The thunk returns the derivative of reduce_loss(loss map) with respect
-    to ce.values: the per-pixel CE weights, at the resolution of `ce`. The
-    guided weight is computed once, for the value and the gradient.
+    The map is `ce` reweighted by 1+lambda wherever it failed to beat `aux`.
+    Ties count as failures, so a zero offset is always penalized. `aux`
+    carries no gradient. The thunk returns the derivative of
+    reduce_loss(loss map) with respect to ce.values: the per-pixel CE
+    weights, at the resolution of `ce`. The guided weight is computed once,
+    for the value and the gradient.
     """
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
@@ -353,19 +344,13 @@ def regression_weight(cs: CandidateSet, lam: float) -> np.ndarray:
     return np.where(stack[0] <= stack.min(axis=0), 1.0, 1.0 + lam)
 
 
-def regression_loss(cs: CandidateSet, gamma: float, lam: float) -> LossMap:
-    """Coordinate-regression loss: gamma * smooth-L1 to the best candidate
-    plus the weighted refined loss.
-
-    The smooth-L1 target and the candidate losses are constants under
-    differentiation; gradient flows through the refined loss (scaled by its
-    weight) and through the predicted coordinates only.
-    """
-    return regression_terms(cs, gamma, lam)[0]
-
-
 def regression_terms(cs: CandidateSet, gamma: float, lam: float):
-    """regression_loss(cs, gamma, lam) and a thunk for its gradient.
+    """The coordinate-regression loss map and a thunk for its gradient.
+
+    The loss is gamma * smooth-L1 to the best candidate plus the weighted
+    refined loss. The smooth-L1 target and the candidate losses carry no
+    gradient: it flows through the refined loss, scaled by its weight, and
+    through the predicted coordinates only.
 
     The thunk, grad(rest, labels), takes the bilinear factor and labels the
     candidate set was built with and returns (per-pixel CE weights at label
@@ -387,8 +372,7 @@ def regression_terms(cs: CandidateSet, gamma: float, lam: float):
         ns = int(valid.sum())
         # CE gradient: each full-res pixel inherits its stage block's weight
         # over (stage count * block valid count).
-        n, sh, sw = out.shape
-        counts = labels.valid.reshape(n, sh, rest, sw, rest).sum(axis=(2, 4))
+        counts = _block_sums(labels.valid, rest)
         per_block = np.where(valid, w / (ns * np.maximum(counts, 1)), 0.0)
         weights = np.repeat(np.repeat(per_block, rest, axis=1), rest, axis=2)
         weights = np.where(labels.valid, weights, 0.0)

@@ -29,9 +29,6 @@ __all__ = [
     "SynthSample",
     "Tally",
     "gen_sample",
-    "miou",
-    "pix_acc",
-    "speckle_rate",
 ]
 
 
@@ -182,12 +179,14 @@ class Tally:
         return Tally(*counts, self.isolated + other.isolated, self.interior + other.interior, classes)
 
     def pix_acc(self) -> float:
+        """Fraction of valid pixels predicted correctly."""
         total = int(self.true.sum())
         if total == 0:
             raise ValueError("no valid pixels")
         return float(self.hits.sum() / total)
 
     def miou(self, num_classes: int) -> float:
+        """Mean IoU over the classes below num_classes; a class in neither map has no ratio and is left out."""
         union = self.predicted + self.true - self.hits
         kept = self.classes < num_classes
         ious = [int(i) / int(u) for i, u in zip(self.hits[kept], union[kept]) if u]
@@ -196,31 +195,12 @@ class Tally:
         return float(np.mean(ious))
 
     def speckle_rate(self) -> float:
+        """Fraction of interior pixels whose predicted label differs from all 4 neighbors.
+
+        Isolated pixels are the signature of checkerboard-style upsampling
+        artifacts; smooth label maps score 0. It reads the prediction only,
+        so Tally.of(pred, pred) scores a map with no ground truth.
+        """
         if not self.interior:
             raise ShapeError("no interior pixels: need a map of at least 3x3")
         return float(self.isolated / self.interior)
-
-
-def pix_acc(pred: LabelMap, gt: LabelMap) -> float:
-    """Fraction of valid pixels predicted correctly."""
-    return Tally.of(pred, gt).pix_acc()
-
-
-def miou(pred: LabelMap, gt: LabelMap, num_classes: int) -> float:
-    """Mean per-class intersection over union.
-
-    Classes absent from both maps (among valid pixels) are excluded from
-    the mean, since empty classes would contribute undefined ratios.
-    """
-    return Tally.of(pred, gt).miou(num_classes)
-
-
-def speckle_rate(pred: LabelMap) -> float:
-    """Fraction of interior pixels whose label differs from all 4 neighbors.
-
-    Isolated single-pixel predictions are the signature of checkerboard-style
-    upsampling artifacts; smooth label maps score 0.
-    """
-    if pred.h < 3 or pred.w < 3:
-        raise ShapeError(f"need at least 3x3 maps, got {pred.h}x{pred.w}")
-    return Tally.of(pred, pred).speckle_rate()

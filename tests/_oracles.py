@@ -340,7 +340,7 @@ def _check_pair(pred, gt):
 
 
 def mask_pix_acc(pred, gt):
-    """pix_acc over the whole maps at once: one boolean mask of valid pixels."""
+    """Tally's pix_acc over the whole maps at once: one boolean mask of valid pixels."""
     _check_pair(pred, gt)
     valid = gt.valid
     total = int(valid.sum())
@@ -350,7 +350,7 @@ def mask_pix_acc(pred, gt):
 
 
 def mask_miou(pred, gt, num_classes):
-    """miou with one pair of class masks over the whole maps per class that occurs.
+    """Tally's miou with one pair of class masks over the whole maps per class that occurs.
 
     The classes are Python ints taken from the maps, so any class count
     works; a class in neither map would add no IoU to the mean.
@@ -371,9 +371,9 @@ def mask_miou(pred, gt, num_classes):
 
 
 def mask_speckle_rate(pred):
-    """speckle_rate as one neighbor comparison over the whole map."""
+    """Tally's speckle_rate as one neighbor comparison over the whole map."""
     if pred.h < 3 or pred.w < 3:
-        raise ShapeError(f"need at least 3x3 maps, got {pred.h}x{pred.w}")
+        raise ShapeError("no interior pixels: need a map of at least 3x3")
     x = pred.labels
     mid = x[:, 1:-1, 1:-1]
     isolated = (

@@ -24,8 +24,8 @@ from lau.losses import (
     CandidateSet,
     CoordinateMap,
     LossMap,
-    offset_guided_loss,
-    regression_loss,
+    guided_terms,
+    regression_terms,
     select_theta_opt,
 )
 from lau.net import evaluate, poly_lr, train
@@ -38,7 +38,7 @@ from lau.samplers import (
     pixel_shuffle,
     pixel_unshuffle,
 )
-from lau.synth import speckle_rate
+from lau.synth import Tally
 
 
 def report(number, name, ok, detail=""):
@@ -135,7 +135,7 @@ def test_criterion_5_losses():
             l_map = LossMap(rng.uniform(0, 3, shape), valid)
             aux = LossMap(rng.uniform(0, 3, shape), valid)
             lam = float(rng.uniform(0, 0.5))
-            got = offset_guided_loss(l_map, aux, lam).values
+            got = guided_terms(l_map, aux, lam)[0].values
             want = oracle_guided(l_map.values, aux.values, lam)
             worst = max(worst, float(np.abs(got - want).max()))
 
@@ -146,7 +146,7 @@ def test_criterion_5_losses():
             ]
             cs = CandidateSet(losses, coords)
             gamma = float(rng.uniform(0, 0.5))
-            got = regression_loss(cs, gamma, lam).values
+            got = regression_terms(cs, gamma, lam)[0].values
             want = oracle_regression(cs, gamma, lam)
             worst = max(worst, float(np.abs(got - want).max()))
         # constructed ties: equal losses everywhere -> refined (index 0) wins;
@@ -252,12 +252,11 @@ def test_criterion_9_poly_schedule():
 
 
 def test_criterion_10_checkerboard_detector():
-    const = speckle_rate(LabelMap(np.zeros((1, 5, 5), int), 2))
     grid = (np.arange(7)[:, None] + np.arange(7)[None, :]) % 2
-    checker = speckle_rate(LabelMap(grid[None], 2))
     planted = np.zeros((1, 5, 5), int)
     planted[0, 2, 2] = 1
-    fixture = speckle_rate(LabelMap(planted, 2))
+    maps = [LabelMap(np.zeros((1, 5, 5), int), 2), LabelMap(grid[None], 2), LabelMap(planted, 2)]
+    const, checker, fixture = (Tally.of(m, m).speckle_rate() for m in maps)
     ok = const == 0.0 and checker == 1.0 and abs(fixture - 1 / 9) <= 1e-12
     report(10, "checkerboard detector", ok,
            f"const={const} checker={checker} planted={fixture:.4f}")

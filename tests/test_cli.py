@@ -107,7 +107,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("size", [1, 2])
     def test_image_size_below_3_names_the_key(self, tmp_path, capsys, size):
-        # a 2x2 run trained a whole epoch, then died in speckle_rate's "need at least 3x3 maps"
+        # a 2x2 run trained a whole epoch, then died in the speckle rate's "need at least 3x3 maps"
         cfg = write_config(tmp_path, image_size=size, output_stride=1, lau_ratio=1)
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
@@ -123,15 +123,6 @@ class TestConfig:
 
 
 class TestDemo:
-    def test_lau_zero_offsets_matches_bilinear_bytes(self, tmp_path):
-        out_b = tmp_path / "b"
-        out_l = tmp_path / "l"
-        assert main(["demo", "--upsampler", "bilinear", "--ratio", "2",
-                     "--out", str(out_b), "--seed", "5"]) == 0
-        assert main(["demo", "--upsampler", "lau", "--ratio", "2",
-                     "--out", str(out_l), "--seed", "5"]) == 0
-        assert (out_b / "after.ppm").read_bytes() == (out_l / "after.ppm").read_bytes()
-
     def test_ratio_one_is_identity(self, tmp_path):
         out = tmp_path / "d"
         assert main(["demo", "--upsampler", "bilinear", "--ratio", "1",
@@ -184,11 +175,11 @@ class TestDemo:
         assert err.startswith("error: num_classes") and err.count("\n") == 1, err
 
     def test_negative_ratio_on_a_dump_names_the_ratio(self, tmp_path, capsys):
-        # the lau path built its zero offsets from k * h before the sampler
-        # checked k: "error: negative dimensions are not allowed"
+        # the ratio is checked before any upsampler sizes its output from
+        # k * h, which numpy refuses as "negative dimensions are not allowed"
         infile = tmp_path / "in.t4"
         write_tensor(infile, np.zeros((1, 3, 4, 4)))
-        assert main(["demo", "--upsampler", "lau", "--in", str(infile), "--ratio", "-1",
+        assert main(["demo", "--upsampler", "corner-ff", "--in", str(infile), "--ratio", "-1",
                      "--out", str(tmp_path / "d")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: upsampling ratio must be an integer >= 1") and err.count("\n") == 1, err
@@ -200,11 +191,10 @@ class TestDemo:
         err = capsys.readouterr().err
         assert err.startswith("error: num_classes") and err.count("\n") == 1, err
 
-    @pytest.mark.parametrize("upsampler", ["lau", "bilinear"])
+    @pytest.mark.parametrize("upsampler", ["corner-ff", "bilinear"])
     def test_ratio_beyond_numpy_arrays_names_the_ratio(self, tmp_path, capsys, upsampler):
         # an integer ratio >= 1 passed the sampler's check, and numpy refused
-        # the k * h output: "Maximum allowed dimension exceeded" (lau) or
-        # "Maximum allowed size exceeded" (bilinear)
+        # the k * h output: "Maximum allowed size exceeded"
         infile = tmp_path / "in.t4"
         write_tensor(infile, np.zeros((1, 3, 4, 4)))
         assert main(["demo", "--upsampler", upsampler, "--in", str(infile), "--ratio", str(2**62),
@@ -284,6 +274,17 @@ class TestTrainCommand:
         assert [n for n, _ in calls] == [TINY["train_count"], TINY["val_count"]] * 3
         weights = [w for _, w in calls]
         assert weights[0::2] == weights[1::2] and len(set(weights)) == 3
+
+    def test_fewer_val_samples_remove_an_earlier_runs_ppms(self, tmp_path):
+        # the second run writes two of each PPM, and its --out holds exactly
+        # what a run into an empty directory writes
+        out, fresh = tmp_path / "r", tmp_path / "fresh"
+        for val_count in (4, 2):
+            cfg = write_config(tmp_path, epochs=1, val_count=val_count)
+            assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["train", "--config", cfg, "--out", str(fresh)]) == 0
+        assert sorted(p.name for p in out.glob("*.ppm")) == ["gt_0.ppm", "gt_1.ppm", "pred_0.ppm", "pred_1.ppm"]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == {p.name: p.read_bytes() for p in fresh.iterdir()}
 
     @pytest.mark.parametrize("key", FLOAT_KEYS)
     def test_non_finite_float_names_the_key(self, tmp_path, capsys, key):
@@ -575,6 +576,10 @@ class TestKnobCensus:
         "train": ["-h", "--help", "--config", "--out"],
         "sweep": ["-h", "--help", "--param", "--values", "--config", "--out", "--seeds"],
     }
+    CHOICES = {
+        ("demo", "--upsampler"): ["bilinear", "pixelshuffle", "corner-cc", "corner-cf", "corner-fc", "corner-ff"],
+        ("sweep", "--param"): ["lambda", "ratio"],
+    }
     CONFIG_KEYS = [
         "seed", "classes", "image_size", "output_stride", "lau_ratio", "lambda", "gamma", "loss",
         "upsampler", "lr", "power", "momentum", "weight_decay", "epochs", "batch", "m_channels",
@@ -595,6 +600,12 @@ class TestKnobCensus:
             assert [s for a in sub._actions for s in a.option_strings] == self.OPTIONS[name], name
         assert all(p.allow_abbrev is False for p in [parser, *commands.values()])
 
+    def test_choices(self):
+        _, commands = self.subparsers()
+        choices = {(name, a.option_strings[0]): list(a.choices)
+                   for name, sub in commands.items() for a in sub._actions if a.choices}
+        assert choices == self.CHOICES
+
     def test_config_keys(self):
         assert [lau.net._json_key(f.name) for f in fields(ExperimentConfig)] == self.CONFIG_KEYS
 
@@ -610,7 +621,8 @@ class TestKnobCensus:
         ["gradcheck", "--h", "1e-6"],  # no step flag, and not read as --help
         ["gradcheck", "--tolerance", "1"],  # no tolerance flag
         ["train", "--conf", "c.json"],  # not read as --config
-    ], ids=["h", "tolerance", "prefix"])
+        ["demo", "--upsampler", "lau"],  # no lau choice: at zero offsets it is bilinear
+    ], ids=["h", "tolerance", "prefix", "lau-upsampler"])
     def test_removed_or_abbreviated_flags_exit_2(self, tmp_path, capsys, argv):
         out = tmp_path / "d"
         with pytest.raises(SystemExit) as exc:

@@ -15,7 +15,7 @@ from lau.core import (
     write_tensor,
 )
 from lau.losses import cross_entropy_backward, cross_entropy_map
-from lau.synth import miou, pix_acc, speckle_rate
+from lau.synth import Tally
 
 from _oracles import (
     int64_labels,
@@ -252,9 +252,10 @@ class TestClassCountEdges:
         # class overflowed, though only three classes occur
         pred, gt = top_class_maps(num_classes)
         wide_pred, wide_gt = int64_labels(pred), int64_labels(gt)
-        assert pix_acc(pred, gt) == mask_pix_acc(wide_pred, wide_gt)
-        assert miou(pred, gt, num_classes) == mask_miou(wide_pred, wide_gt, num_classes)
-        assert speckle_rate(pred) == mask_speckle_rate(wide_pred)
+        tally = Tally.of(pred, gt)
+        assert tally.pix_acc() == mask_pix_acc(wide_pred, wide_gt)
+        assert tally.miou(num_classes) == mask_miou(wide_pred, wide_gt, num_classes)
+        assert Tally.of(pred, pred).speckle_rate() == mask_speckle_rate(wide_pred)
 
     @pytest.mark.parametrize("num_classes", COUNTABLE_CLASS_COUNTS)
     def test_cross_entropy_equals_the_along_axis_references(self, num_classes):

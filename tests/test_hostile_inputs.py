@@ -13,6 +13,7 @@ value is a label, raises ValueError otherwise, and never warns. The runs are
 derandomized with fixed example counts, so every run tries the same inputs.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -28,10 +29,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lau.cli import ExperimentConfig, main
+from lau.cli import ExperimentConfig, build_parser, main
 from lau.core import IGNORE, ConfigError, LabelMap, Rng, ShapeError, read_tensor, write_tensor
 from lau.net import build_net, load_checkpoint, save_checkpoint
-from lau.samplers import CORNERS
 
 CLEAN_ERRORS = (ConfigError, IOError, ShapeError, ValueError)
 
@@ -219,7 +219,9 @@ def test_load_checkpoint_on_damaged_files(tmp_path_factory, data):
 # dump or a --classes between those ranges and these can commit gigabytes.
 REFUSED = st.sampled_from([2**63, 2**64, 10**30, -(10**30)])
 NOT_INTS = st.sampled_from(["", "abc", "1.5", "0x10", "1e3", "-"])
-UPSAMPLERS = ["bilinear", "lau", "pixelshuffle"] + [f"corner-{c}" for c in CORNERS]
+# the demo's --upsampler choices, read off the parser, so a removed choice is never drawn
+(_COMMANDS,) = [a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+UPSAMPLERS = next(a.choices for a in _COMMANDS["demo"]._actions if "--upsampler" in a.option_strings)
 
 
 def _damaged_dump(data, path) -> str:

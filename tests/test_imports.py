@@ -8,9 +8,12 @@ package's re-exports. A private name that only tests use counts as dead:
 code that only its own tests call is deleted. A private constant, such as a
 file format's header layout, belongs to its module: another module that
 needs it calls that module's functions instead of repeating its logic.
+Every name a module lists in `__all__` exists, and the package re-exports
+only names that their module lists.
 """
 
 import ast
+import importlib
 import pathlib
 from collections import Counter
 
@@ -146,3 +149,18 @@ def test_private_constant_scan_reports_only_other_modules_constants():
 def test_no_module_reads_another_modules_private_constant():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert foreign_private_constants(sources) == []
+
+
+@pytest.mark.parametrize("module", [p[:-3] for p in MODULES])
+def test_every_all_entry_names_an_attribute(module):
+    # a deleted function's stale string only fails `from lau.<module> import *`
+    mod = importlib.import_module(f"lau.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_package_re_exports_only_listed_names():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    unlisted = [f"{node.module}.{alias.name}" for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names
+                if alias.name not in importlib.import_module(f"lau.{node.module}").__all__]
+    assert unlisted == []

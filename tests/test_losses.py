@@ -16,9 +16,8 @@ from lau.losses import (
     build_candidate_set,
     cross_entropy_backward,
     cross_entropy_map,
-    offset_guided_loss,
+    guided_terms,
     reduce_loss,
-    regression_loss,
     regression_terms,
     select_theta_opt,
     smooth_l1,
@@ -200,18 +199,18 @@ class TestSmoothL1:
 
 class TestOffsetGuided:
     def test_strictly_better_keeps_loss(self):
-        out = offset_guided_loss(all_valid([[[0.5]]]), all_valid([[[0.7]]]), 0.3)
+        out = guided_terms(all_valid([[[0.5]]]), all_valid([[[0.7]]]), 0.3)[0]
         assert out.values[0, 0, 0] == pytest.approx(0.5)
 
     def test_tie_is_penalized(self):
-        out = offset_guided_loss(all_valid([[[0.5]]]), all_valid([[[0.5]]]), 0.3)
+        out = guided_terms(all_valid([[[0.5]]]), all_valid([[[0.5]]]), 0.3)[0]
         assert out.values[0, 0, 0] == pytest.approx(0.65)
 
     def test_lambda_zero_collapse(self):
         rng = np.random.default_rng(3)
         l_map = all_valid(rng.uniform(0, 2, (1, 3, 3)))
         aux = all_valid(rng.uniform(0, 2, (1, 3, 3)))
-        out = offset_guided_loss(l_map, aux, 0.0)
+        out = guided_terms(l_map, aux, 0.0)[0]
         assert np.array_equal(out.values, l_map.values)
 
     def test_brute_force_oracle(self):
@@ -220,14 +219,14 @@ class TestOffsetGuided:
             l_map = all_valid(rng.uniform(0, 2, (1, 3, 3)))
             aux = all_valid(rng.uniform(0, 2, (1, 3, 3)))
             lam = float(rng.uniform(0, 0.5))
-            out = offset_guided_loss(l_map, aux, lam)
+            out = guided_terms(l_map, aux, lam)[0]
             assert np.abs(out.values - oracle_guided(l_map.values, aux.values, lam)).max() <= 1e-12
 
     def test_output_dominates_input(self):
         rng = np.random.default_rng(5)
         l_map = all_valid(rng.uniform(0, 2, (1, 4, 4)))
         aux = all_valid(rng.uniform(0, 2, (1, 4, 4)))
-        out = offset_guided_loss(l_map, aux, 0.3)
+        out = guided_terms(l_map, aux, 0.3)[0]
         assert (out.values >= l_map.values - 1e-15).all()
         equal = np.isclose(out.values, l_map.values)
         strictly_less = l_map.values < aux.values
@@ -443,7 +442,7 @@ class TestRegressionLoss:
         cmaps = [coords([[[1.25]]], [[[0.75]]])] + [
             coords([[[float(i)]]], [[[float(i)]]]) for i in range(1, 5)
         ]
-        out = regression_loss(CandidateSet(losses, cmaps), 0.1, 0.3)
+        out = regression_terms(CandidateSet(losses, cmaps), 0.1, 0.3)[0]
         assert out.values[0, 0, 0] == pytest.approx(0.3)
 
     def test_hand_case(self):
@@ -455,7 +454,7 @@ class TestRegressionLoss:
         cmaps = [coords([[[0.5]]], [[[0.0]]])] + [
             coords([[[0.0]]], [[[0.0]]]) for _ in range(4)
         ]
-        out = regression_loss(CandidateSet(losses, cmaps), 0.1, 0.3)
+        out = regression_terms(CandidateSet(losses, cmaps), 0.1, 0.3)[0]
         assert out.values[0, 0, 0] == pytest.approx(1.3125)
 
     def test_brute_force_oracle(self):
@@ -464,7 +463,7 @@ class TestRegressionLoss:
             cs = random_candidate_set(rng)
             gamma = float(rng.uniform(0, 0.5))
             lam = float(rng.uniform(0, 0.5))
-            out = regression_loss(cs, gamma, lam)
+            out = regression_terms(cs, gamma, lam)[0]
             assert np.abs(out.values - oracle_regression(cs, gamma, lam)).max() <= 1e-12
 
     def test_infinite_corners_collapse(self):
@@ -473,7 +472,7 @@ class TestRegressionLoss:
         inf = LossMap(np.full((1, 3, 3), np.inf), np.ones((1, 3, 3), bool))
         cmaps = [coords(rng.uniform(-1, 1, (1, 3, 3)), rng.uniform(-1, 1, (1, 3, 3)))
                  for _ in range(5)]
-        out = regression_loss(CandidateSet([main, inf, inf, inf, inf], cmaps), 0.0, 0.3)
+        out = regression_terms(CandidateSet([main, inf, inf, inf, inf], cmaps), 0.0, 0.3)[0]
         assert np.allclose(out.values, main.values)
 
 

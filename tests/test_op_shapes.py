@@ -66,8 +66,8 @@ def op_specs(n, c, h, w, k, m, rest, kernel):
                                                     [_coords(a["coord"])] * 4 + [_coords(a["odd_coord"])])),
         "cross_entropy_map": ({"logits": img, "labels": lbl}, set(),
                               lambda a: lau.cross_entropy_map(a["logits"], _labels(a["labels"], c))),
-        "offset_guided_loss": ({"loss": lbl, "aux": lbl}, set(),
-                               lambda a: lau.offset_guided_loss(_loss(a["loss"]), _loss(a["aux"]), 0.3)),
+        "guided_terms": ({"loss": lbl, "aux": lbl}, set(),
+                         lambda a: lau.guided_terms(_loss(a["loss"]), _loss(a["aux"]), 0.3)),
         "smooth_l1": ({"pred": lbl, "target": lbl}, set(),
                       lambda a: lau.smooth_l1(_coords(a["pred"]), _coords(a["target"]))),
         "build_candidate_set": (
@@ -100,10 +100,8 @@ def op_specs(n, c, h, w, k, m, rest, kernel):
         "sgd_step": ({"w": (c, h), "g": (c, h), "v": (c, h)}, set(),
                      lambda a: lau.sgd_step([a["w"]], [a["g"]], [a["v"]], 0.1, 0.9, [0.0])),
         "gradcheck": ({"point": (c,), "grad": (c,)}, set(), _gradcheck),
-        "pix_acc": ({"pred": lbl, "gt": lbl}, set(),
-                    lambda a: lau.pix_acc(_labels(a["pred"], c), _labels(a["gt"], c))),
-        "miou": ({"pred": lbl, "gt": lbl}, set(),
-                 lambda a: lau.miou(_labels(a["pred"], c), _labels(a["gt"], c), c)),
+        "Tally": ({"pred": lbl, "gt": lbl}, set(),
+                  lambda a: lau.Tally.of(_labels(a["pred"], c), _labels(a["gt"], c)).miou(c)),
     }
 
 
@@ -115,8 +113,8 @@ def test_every_public_op_with_array_arguments_is_covered():
     # match, or objects already checked when built; ConvLayer and
     # OffsetPredictor are built, and their arrays changed, by the conv specs
     untested = {"ConfigError", "ShapeError", "Corner", "Rng", "SegNet", "SynthSample", "TrainConfig",
-                "leaky_relu", "poly_lr", "reduce_loss", "regression_loss", "select_theta_opt",
-                "speckle_rate", "train", "ConvLayer", "OffsetPredictor"}
+                "leaky_relu", "poly_lr", "reduce_loss", "regression_terms", "select_theta_opt",
+                "train", "ConvLayer", "OffsetPredictor"}
     exported = {name for name in dir(lau) if not name.startswith("_") and callable(getattr(lau, name))}
     assert exported - untested == set(OPS)
 

@@ -8,13 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lau.core import IGNORE, LabelMap, ShapeError
-from lau.synth import (
-    Tally,
-    gen_sample,
-    miou,
-    pix_acc,
-    speckle_rate,
-)
+from lau.synth import Tally, gen_sample
 
 from _oracles import mask_miou, mask_pix_acc, mask_speckle_rate
 
@@ -104,48 +98,48 @@ class TestGenerator:
 class TestPixAcc:
     def test_perfect(self):
         gt = LabelMap(np.array([[[0, 1], [2, 3]]]), 4)
-        assert pix_acc(gt, gt) == 1.0
+        assert Tally.of(gt, gt).pix_acc() == 1.0
 
     def test_complement(self):
         a = LabelMap(np.zeros((1, 2, 2), int), 2)
         b = LabelMap(np.ones((1, 2, 2), int), 2)
-        assert pix_acc(a, b) == 0.0
+        assert Tally.of(a, b).pix_acc() == 0.0
 
     def test_three_of_four(self):
         pred = LabelMap(np.array([[[0, 1], [1, 1]]]), 2)
         gt = LabelMap(np.array([[[0, 1], [1, 0]]]), 2)
-        assert pix_acc(pred, gt) == 0.75
+        assert Tally.of(pred, gt).pix_acc() == 0.75
 
     def test_ignores_masked_pixels(self):
         pred = LabelMap(np.array([[[0, 1]]]), 2)
         gt = LabelMap(np.array([[[0, -1]]]), 2)
-        assert pix_acc(pred, gt) == 1.0
+        assert Tally.of(pred, gt).pix_acc() == 1.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            pix_acc(LabelMap(np.zeros((1, 2, 2), int), 2), LabelMap(np.zeros((1, 2, 3), int), 2))
+            Tally.of(LabelMap(np.zeros((1, 2, 2), int), 2), LabelMap(np.zeros((1, 2, 3), int), 2))
 
 
 class TestMiou:
     def test_perfect(self):
         gt = LabelMap(np.array([[[0, 1], [2, 0]]]), 3)
-        assert miou(gt, gt, 3) == 1.0
+        assert Tally.of(gt, gt).miou(3) == 1.0
 
     def test_hand_confusion(self):
         pred = LabelMap(np.zeros((1, 2, 2), int), 2)
         gt = LabelMap(np.array([[[0, 0], [1, 1]]]), 2)
         # class 0: inter 2, union 4 -> 0.5; class 1: inter 0, union 2 -> 0
-        assert miou(pred, gt, 2) == pytest.approx(0.25)
+        assert Tally.of(pred, gt).miou(2) == pytest.approx(0.25)
 
     def test_disjoint_single_classes(self):
         pred = LabelMap(np.zeros((1, 2, 2), int), 2)
         gt = LabelMap(np.ones((1, 2, 2), int), 2)
-        assert miou(pred, gt, 2) == 0.0
+        assert Tally.of(pred, gt).miou(2) == 0.0
 
     def test_absent_classes_excluded(self):
         pred = LabelMap(np.zeros((1, 2, 2), int), 8)
         gt = LabelMap(np.zeros((1, 2, 2), int), 8)
-        assert miou(pred, gt, 8) == 1.0
+        assert Tally.of(pred, gt).miou(8) == 1.0
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000))
@@ -153,41 +147,45 @@ class TestMiou:
         rng = np.random.default_rng(seed)
         pred = rng.integers(0, 4, (1, 5, 5))
         gt = rng.integers(0, 4, (1, 5, 5))
-        base = miou(LabelMap(pred, 4), LabelMap(gt, 4), 4)
+        base = Tally.of(LabelMap(pred, 4), LabelMap(gt, 4)).miou(4)
         assert 0.0 <= base <= 1.0
         perm = rng.permutation(4)
-        permuted = miou(LabelMap(perm[pred], 4), LabelMap(perm[gt], 4), 4)
+        permuted = Tally.of(LabelMap(perm[pred], 4), LabelMap(perm[gt], 4)).miou(4)
         assert permuted == pytest.approx(base, abs=1e-12)
 
     def test_pix_acc_range(self):
         rng = np.random.default_rng(0)
         pred = LabelMap(rng.integers(0, 3, (2, 4, 4)), 3)
         gt = LabelMap(rng.integers(0, 3, (2, 4, 4)), 3)
-        assert 0.0 <= pix_acc(pred, gt) <= 1.0
+        assert 0.0 <= Tally.of(pred, gt).pix_acc() <= 1.0
 
 
 class TestSpeckle:
     def test_constant_map(self):
-        assert speckle_rate(LabelMap(np.zeros((1, 5, 5), int), 2)) == 0.0
+        const = LabelMap(np.zeros((1, 5, 5), int), 2)
+        assert Tally.of(const, const).speckle_rate() == 0.0
 
     def test_perfect_checkerboard(self):
         grid = (np.arange(6)[:, None] + np.arange(6)[None, :]) % 2
-        assert speckle_rate(LabelMap(grid[None], 2)) == 1.0
+        checker = LabelMap(grid[None], 2)
+        assert Tally.of(checker, checker).speckle_rate() == 1.0
 
     def test_planted_isolated_pixel(self):
         labels = np.zeros((1, 5, 5), int)
         labels[0, 2, 2] = 1
-        assert speckle_rate(LabelMap(labels, 2)) == pytest.approx(1 / 9)
+        planted = LabelMap(labels, 2)
+        assert Tally.of(planted, planted).speckle_rate() == pytest.approx(1 / 9)
 
     def test_range(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             labels = LabelMap(rng.integers(0, 3, (1, 6, 6)), 3)
-            assert 0.0 <= speckle_rate(labels) <= 1.0
+            assert 0.0 <= Tally.of(labels, labels).speckle_rate() <= 1.0
 
     def test_too_small(self):
+        thin = LabelMap(np.zeros((1, 2, 5), int), 2)
         with pytest.raises(ShapeError):
-            speckle_rate(LabelMap(np.zeros((1, 2, 5), int), 2))
+            Tally.of(thin, thin).speckle_rate()
 
 
 def _draw_map(rng, shape, classes, kind):
@@ -224,8 +222,9 @@ class TestTally:
         gt = _draw_map(rng, (n, h, w + mismatch), gt_classes, gt_kind)
         expected = (_outcome(mask_pix_acc, pred, gt), _outcome(mask_miou, pred, gt, miou_classes),
                     _outcome(mask_speckle_rate, pred))
-        assert (_outcome(pix_acc, pred, gt), _outcome(miou, pred, gt, miou_classes),
-                _outcome(speckle_rate, pred)) == expected
+        assert (_outcome(lambda: Tally.of(pred, gt).pix_acc()),
+                _outcome(lambda: Tally.of(pred, gt).miou(miou_classes)),
+                _outcome(lambda: Tally.of(pred, pred).speckle_rate())) == expected
         if mismatch or h < 3 or w < 3:
             return
         cut = min(cut, n)
@@ -246,5 +245,6 @@ class TestTally:
 
     def test_empty_maps_have_no_interior(self):
         # the whole-map speckle rate divided 0 by 0 here, a nan and a RuntimeWarning
+        empty = LabelMap(np.zeros((0, 5, 5), int), 2)
         with pytest.raises(ShapeError, match="no interior pixels"):
-            speckle_rate(LabelMap(np.zeros((0, 5, 5), int), 2))
+            Tally.of(empty, empty).speckle_rate()
