@@ -32,6 +32,7 @@ import numpy as np
 
 from .core import LabelMap, Rng
 from .losses import (
+    _candidate_set,
     build_candidate_set,
     cross_entropy_backward,
     cross_entropy_map,
@@ -43,15 +44,20 @@ from .losses import (
 from .net import (
     ConvLayer,
     GradcheckReport,
+    SegNet,
     TrainConfig,
     _bilinear_ce,
+    _expand_offsets,
+    _loss_forward,
+    _loss_step,
     _params,
+    _upsample,
     conv2d_backward,
     conv2d_forward,
     gradcheck,
-    loss_and_grads,
     net_for,
     network_forward,
+    offset_predictor_forward,
 )
 from .samplers import OffsetField, lau_backward, lau_forward, lau_source_coords
 
@@ -259,7 +265,8 @@ def _regression_draw(rng):
     labels = LabelMap(rng.integers(0, c, size=(n, k * hh, k * ww)), c)
     off = _safe_offsets(rng, n, 1, hh, ww, k)
     refined = cross_entropy_map(lau_forward(u, off, k), labels)
-    if not _candidate_margins_ok(build_candidate_set(u, off, k, 1, labels, refined)):
+    drawn = build_candidate_set(u, off, k, 1, labels, refined)
+    if not _candidate_margins_ok(drawn):
         return None
 
     def fn(vec):
@@ -267,8 +274,10 @@ def _regression_draw(rng):
         # the labels sit at the sampler's resolution (rest = 1), so its
         # output is the refined logits, shared by the value and the gradient
         v = lau_forward(u, o, k)
-        out, grad_terms = regression_terms(
-            build_candidate_set(u, o, k, 1, labels, cross_entropy_map(v, labels)), gamma, lam)
+        # only the offsets move, so the drawn set's corner entries hold at every probe
+        cs = _candidate_set(drawn.losses[1:], drawn.coords[1:], drawn.block_counts, o, k, 1,
+                            cross_entropy_map(v, labels))
+        out, grad_terms = regression_terms(cs, gamma, lam)
 
         def grad():
             weights, direct = grad_terms(1, labels)
@@ -351,18 +360,55 @@ def _network_instance(seed: int, loss_kind: str):
     raise RuntimeError(f"no margin-safe instance found for seed {seed} / {loss_kind}")
 
 
+def _probe_forward(net: SegNet, cache: dict, layer: str):
+    """Full-res logits and the loss's cache entries after a probe of `layer`, a layer after the decoder.
+
+    The layers before `layer` still hold the weights `cache` was computed
+    with, so their activations are read from it.
+    """
+    u, off, rest = cache["u"], cache["off"], cache["rest"]
+    if layer == "head":
+        u = conv2d_forward(net.head, cache["f"])
+    elif layer == "reduce":
+        off = offset_predictor_forward(net.predictor, cache["f"])[0]
+    else:
+        off = _expand_offsets(net.predictor, cache["pcache"][1])
+    return _upsample(net, u, off, rest)[1], {"u": u, "off": off, "rest": rest}
+
+
 def network_gradcheck(seed: int = 0, loss_kind: str = "ce") -> GradcheckReport:
-    """End-to-end FD check over every trainable parameter of the toy net."""
+    """End-to-end FD check over every trainable parameter of the toy net.
+
+    The checked point runs the whole loss step and keeps its forward
+    activations and the loss's u-only part (see net._loss_forward). A probe
+    moves one parameter and recomputes from that parameter's layer on: the
+    whole step for conv1 and conv2, the rest from the kept activations
+    otherwise, with the kept u-only part where u did not move (reduce,
+    expand). The same code runs on the same inputs as in a whole step, so
+    every value is the whole step's float, bit for bit.
+    """
     net, cfg, features, labels = _network_instance(seed, loss_kind)
     params = _params(net)
+    point = _flat(*params)
+    names = [name for name, _ in net.named_layers()]
+    ends = np.cumsum([layer.weights.size + layer.bias.size for _, layer in net.named_layers()])
+    at_point = {}
 
     def fn(vec):
         for arr, part in zip(params, _split(vec, *(p.shape for p in params))):
             arr[...] = part
-        scalar, _, backward = loss_and_grads(net, cfg, features, labels)
-        return scalar, lambda: _flat(*backward())
+        moved = np.flatnonzero(vec != point)
+        layer = names[np.searchsorted(ends, moved[0], side="right")] if moved.size else None
+        if layer in (None, "conv1", "conv2"):
+            scalar, _, backward, cache, kept = _loss_step(net, cfg, features, labels)
+            if layer is None:
+                at_point.update(cache=cache, kept=kept)
+            return scalar, lambda: _flat(*backward())
+        logits, cache = _probe_forward(net, at_point["cache"], layer)
+        kept = None if layer == "head" else at_point["kept"]
+        return reduce_loss(_loss_forward(net, cfg, logits, cache, labels, kept)[0]), None
 
-    rep = gradcheck(fn, [_flat(*params)], h=1e-5, tolerance=1e-4)
+    rep = gradcheck(fn, [point], h=1e-5, tolerance=1e-4)
     rep.subject = f"network/{loss_kind}"
     return rep
 

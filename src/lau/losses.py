@@ -115,11 +115,15 @@ class CandidateSet:
     (ceil,ceil) of (x, y) rounding. The four corner entries carry no
     gradient by contract. The loss values are stacked once, when the set is
     built, so the entries are not meant to change afterwards.
+    build_candidate_set also leaves on the set the count of valid labels in
+    each block its means were taken over (`block_counts`, None on a set built
+    by hand), which the regression gradient reuses.
     """
 
     losses: list  # 5 LossMaps
     coords: list  # 5 CoordinateMaps
     _stack: np.ndarray = field(init=False, repr=False, compare=False)
+    block_counts: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.losses) != 5 or len(self.coords) != 5:
@@ -261,13 +265,6 @@ def _block_sums(values: np.ndarray, r: int) -> np.ndarray:
     return values.reshape(n, hh // r, r, ww // r, r).sum(axis=(2, 4))
 
 
-def _stacked_labels(labels: LabelMap, start: int, rows: int) -> LabelMap:
-    """Labels of rows start..start + rows of a corner-major stack, whose row r is sample r mod n."""
-    if rows == labels.n:  # the rows are one whole corner
-        return labels
-    return LabelMap(labels.labels[np.arange(start, start + rows) % labels.n], labels.num_classes)
-
-
 def build_candidate_set(u: np.ndarray, off: OffsetField, k: int, rest: int,
                         labels: LabelMap, refined: LossMap) -> CandidateSet:
     """Assemble the 5-way candidate losses and coordinates for one batch.
@@ -282,11 +279,12 @@ def build_candidate_set(u: np.ndarray, off: OffsetField, k: int, rest: int,
     Corner entries are constants; only the index-0 path is meant to carry
     gradient.
 
-    The four corner outputs are stacked on the batch axis, corner-major, and
-    go through the bilinear stage and CE in chunks of max(n, 4) rows: one
-    call per corner from batch 4 up, all four corners in one call below.
-    Each block's valid count is taken once and shared by the five means,
-    and the corner coordinates are read-only broadcasts of the corner axes.
+    The corners go through the bilinear stage and CE in chunks of whole
+    corners, stacked on the batch axis: four corners a chunk at batch 1, two
+    at batch 2, one from batch 3 up. Each chunk samples its corners when it
+    runs, so no more than one chunk's samplings are held at a time. Each
+    block's valid count is taken once and shared by the five means, and the
+    corner coordinates are read-only broadcasts of the corner axes.
     """
     u = as_tensor4(u)
     rest = _check_ratio(rest)  # the refined loss is pooled by it before any sampler runs
@@ -296,7 +294,7 @@ def build_candidate_set(u: np.ndarray, off: OffsetField, k: int, rest: int,
     grid = (n, k * h, k * w)
     if (off.n, off.h_out, off.w_out) != grid:
         raise ShapeError(f"offset dims {off.dx.shape} != sampler output ({n}, 1, {k * h}, {k * w})")
-    if labels.n != n:  # the stacked rows read sample r mod n of the labels
+    if labels.n != n:  # a chunk's labels repeat the batch's once per corner
         raise ShapeError(f"labels batch {labels.n} != tensor batch {n}")
     if refined.shape != (labels.n, labels.h, labels.w):
         raise ShapeError(f"refined loss {refined.shape} != labels {(labels.n, labels.h, labels.w)}")
@@ -304,27 +302,42 @@ def build_candidate_set(u: np.ndarray, off: OffsetField, k: int, rest: int,
     if not np.array_equal(refined.valid, valid):
         raise ValueError("refined loss must be valid exactly where the labels are")
 
-    sums = np.empty((5,) + grid)
-    sums[0] = _block_sums(refined.values, rest)
-    corner_sums = sums[1:].reshape((4 * n,) + grid[1:])  # a view: row r is corner r // n, sample r % n
-    stack = np.concatenate([corner_upsample(u, k, corner) for corner in CORNERS])
-    rows = max(n, 4)
-    for start in range(0, 4 * n, rows):
-        ce = cross_entropy_map(bilinear_upsample(stack[start:start + rows], rest),
-                               _stacked_labels(labels, start, rows))
-        corner_sums[start:start + rows] = _block_sums(ce.values, rest)
+    per = max(1, 4 // n)  # corners a chunk
+    chunk_labels = labels if per == 1 else LabelMap(np.tile(labels.labels, (per, 1, 1)), labels.num_classes)
+    sums = np.empty((4,) + grid)
+    rows = sums.reshape((4 * n,) + grid[1:])  # a view: row r is corner r // n, sample r % n
+    for i in range(0, 4, per):
+        stack = np.concatenate([corner_upsample(u, k, corner) for corner in CORNERS[i:i + per]])
+        ce = cross_entropy_map(bilinear_upsample(stack, rest), chunk_labels)
+        rows[i * n:(i + per) * n] = _block_sums(ce.values, rest)
     count = _block_sums(valid, rest)
     ok = count > 0
     means = np.where(ok, sums / np.maximum(count, 1), 0.0)
-    losses = [LossMap(m, ok) for m in means]
 
-    qx, qy = lau_source_coords(off, k)
     axes = [corner_source_coords(h, w, k, corner) for corner in CORNERS]
     # one read-only broadcast per axis for all four corners; indexing it gives each corner's view
     px = np.broadcast_to(np.array([xs for xs, _ in axes], dtype=np.float64)[:, None, None, :], (4,) + grid)
     py = np.broadcast_to(np.array([ys for _, ys in axes], dtype=np.float64)[:, None, :, None], (4,) + grid)
-    coords = [CoordinateMap(qx[:, 0], qy[:, 0])] + [CoordinateMap(x, y) for x, y in zip(px, py)]
-    return CandidateSet(losses, coords)
+    return _candidate_set([LossMap(m, ok) for m in means], [CoordinateMap(x, y) for x, y in zip(px, py)],
+                          count, off, k, rest, refined)
+
+
+def _candidate_set(corner_losses: list, corner_coords: list, counts: np.ndarray, off: OffsetField,
+                   k: int, rest: int, refined: LossMap) -> CandidateSet:
+    """The candidate set of four corner entries and the refined entry of `refined` at offsets `off`.
+
+    build_candidate_set makes its set here, and a caller that kept a set
+    whose corners still hold (the logits and labels are unchanged) makes a
+    set with a new refined entry from the kept set's corner entries and
+    block counts. The refined mean is elementwise over the blocks, so it is
+    the same bytes whichever corners it joins.
+    """
+    ok = counts > 0
+    mean = np.where(ok, _block_sums(refined.values, rest) / np.maximum(counts, 1), 0.0)
+    qx, qy = lau_source_coords(off, k)
+    cs = CandidateSet([LossMap(mean, ok)] + corner_losses, [CoordinateMap(qx[:, 0], qy[:, 0])] + corner_coords)
+    cs.block_counts = counts
+    return cs
 
 
 def select_theta_opt(cs: CandidateSet) -> CoordinateMap:
@@ -371,8 +384,8 @@ def regression_terms(cs: CandidateSet, gamma: float, lam: float):
     def grad(rest: int, labels: LabelMap):
         ns = int(valid.sum())
         # CE gradient: each full-res pixel inherits its stage block's weight
-        # over (stage count * block valid count).
-        counts = _block_sums(labels.valid, rest)
+        # over (stage count * block valid count), as the set's builder counted it.
+        counts = _block_sums(labels.valid, rest) if cs.block_counts is None else cs.block_counts
         per_block = np.where(valid, w / (ns * np.maximum(counts, 1)), 0.0)
         weights = np.repeat(np.repeat(per_block, rest, axis=1), rest, axis=2)
         weights = np.where(labels.valid, weights, 0.0)

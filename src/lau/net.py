@@ -21,6 +21,7 @@ import numpy as np
 from .core import ConfigError, LabelMap, Rng, ShapeError, _read_dump, _write_dump, as_tensor4, atomic_write
 from .losses import (
     LossMap,
+    _candidate_set,
     _valid_mean,
     build_candidate_set,
     cross_entropy_backward,
@@ -224,10 +225,13 @@ def offset_predictor_forward(pred: OffsetPredictor, f: np.ndarray):
     """Offset branch forward; returns (offsets, cache for the backward)."""
     ar = conv2d_forward(pred.reduce, f)
     hr = leaky_relu(ar, pred.slope)
-    ae = conv2d_forward(pred.expand, hr)
-    o = pixel_shuffle(ae, pred.ratio)
-    off = OffsetField(o[:, 0::2], o[:, 1::2])
-    return off, (ar, hr)
+    return _expand_offsets(pred, hr), (ar, hr)
+
+
+def _expand_offsets(pred: OffsetPredictor, hr: np.ndarray) -> OffsetField:
+    """The offsets that the expand conv and the pixel shuffle make of the activated reduce output hr."""
+    o = pixel_shuffle(conv2d_forward(pred.expand, hr), pred.ratio)
+    return OffsetField(o[:, 0::2], o[:, 1::2])
 
 
 def _predictor_backward(pred: OffsetPredictor, f: np.ndarray, cache, doff: OffsetField):
@@ -324,16 +328,21 @@ def decoder_forward(net: SegNet, x: np.ndarray):
 def network_forward(net: SegNet, x: np.ndarray):
     """Full pipeline forward; returns (full-res logits, cache for backward)."""
     f, u, cache = decoder_forward(net, x)
+    off, pcache = (None, None) if net.predictor is None else offset_predictor_forward(net.predictor, f)
     rest = net.total_ratio // net.lau_ratio
-    if net.predictor is not None:
-        off, pcache = offset_predictor_forward(net.predictor, f)
-        v1 = lau_forward(u, off, net.lau_ratio)
-    else:
-        off, pcache = None, None
-        v1 = bilinear_upsample(u, net.lau_ratio)
-    logits = bilinear_upsample(v1, rest)
+    v1, logits = _upsample(net, u, off, rest)
     cache.update(f=f, u=u, off=off, pcache=pcache, v1=v1, rest=rest)
     return logits, cache
+
+
+def _upsample(net: SegNet, u: np.ndarray, off: OffsetField | None, rest: int):
+    """The pipeline after the decoder and offset branch: (sampler output, full-res logits).
+
+    The refined sampler at offsets `off` (plain bilinear without an offset
+    branch) takes u up by lau_ratio, and plain bilinear covers the rest.
+    """
+    v1 = bilinear_upsample(u, net.lau_ratio) if off is None else lau_forward(u, off, net.lau_ratio)
+    return v1, bilinear_upsample(v1, rest)
 
 
 def network_backward(net: SegNet, cache, dlogits: np.ndarray, doff_extra: OffsetField | None = None):
@@ -489,25 +498,36 @@ def _bilinear_ce(u, k: int, rest: int, labels: LabelMap) -> LossMap:
     return cross_entropy_map(bilinear_upsample(bilinear_upsample(u, k), rest), labels)
 
 
-def _loss_forward(net: SegNet, cfg: TrainConfig, logits, cache, labels: LabelMap):
-    """Per-pixel loss map plus a thunk for what only the backward pass reads.
+def _loss_forward(net: SegNet, cfg: TrainConfig, logits, cache, labels: LabelMap, kept=None):
+    """Per-pixel loss map, a thunk for what only the backward pass reads, and the loss's u-only part.
 
     The thunk returns (per-pixel CE weights at label resolution, direct
     offset gradient or None), so a caller that wants only the value never
     builds them. Every map entry depends on its own sample alone, so the
     maps of consecutive sample chunks concatenate to the map of their union.
+
+    The u-only part is what the loss reads of the low-resolution logits
+    cache["u"] and the labels alone: the plain-bilinear CE under off, the
+    candidate set, whose four corner entries are that part, under reg, and
+    None under ce. A caller that kept the part from a step at the same u and
+    labels passes it as `kept`, and it is reused, not computed; training and
+    evaluate pass none.
     """
     ce = cross_entropy_map(logits, labels)
     if cfg.loss_kind == "ce" or net.predictor is None:
-        return ce, lambda: (np.where(ce.valid, 1.0 / int(ce.valid.sum()), 0.0), None)
+        return ce, lambda: (np.where(ce.valid, 1.0 / int(ce.valid.sum()), 0.0), None), None
     u, k, rest = cache["u"], net.lau_ratio, cache["rest"]
     if cfg.loss_kind == "off":
-        loss, weights = guided_terms(ce, _bilinear_ce(u, k, rest, labels), cfg.lam)
-        return loss, lambda: (weights(), None)
+        aux = _bilinear_ce(u, k, rest, labels) if kept is None else kept
+        loss, weights = guided_terms(ce, aux, cfg.lam)
+        return loss, lambda: (weights(), None), aux
     # "reg": candidate 0 is the network's own refined prediction, so reuse its CE
-    loss, grad = regression_terms(build_candidate_set(u, cache["off"], k, rest, labels, ce),
-                                  cfg.gamma, cfg.lam)
-    return loss, lambda: grad(rest, labels)
+    if kept is None:
+        cs = build_candidate_set(u, cache["off"], k, rest, labels, ce)
+    else:
+        cs = _candidate_set(kept.losses[1:], kept.coords[1:], kept.block_counts, cache["off"], k, rest, ce)
+    loss, grad = regression_terms(cs, cfg.gamma, cfg.lam)
+    return loss, lambda: grad(rest, labels), cs
 
 
 def _params(net: SegNet) -> list:
@@ -530,8 +550,17 @@ def loss_and_grads(net: SegNet, cfg: TrainConfig, features, labels: LabelMap):
     logits they are freed before the network's backward pass, and their
     gradient after its first stage.
     """
+    return _loss_step(net, cfg, features, labels)[:3]
+
+
+def _loss_step(net: SegNet, cfg: TrainConfig, features, labels: LabelMap):
+    """loss_and_grads' (scalar, logits, backward), then the forward cache and the loss's u-only part.
+
+    network_gradcheck keeps the last two of its checked point for its
+    probes; loss_and_grads drops them.
+    """
     logits, cache = network_forward(net, features)
-    loss, grad_terms = _loss_forward(net, cfg, logits, cache, labels)
+    loss, grad_terms, kept = _loss_forward(net, cfg, logits, cache, labels)
     scalar = reduce_loss(loss)  # rejects a batch with no valid pixels
     held = [logits]  # popped at its last use, so the thunk keeps no reference past it
 
@@ -542,7 +571,7 @@ def loss_and_grads(net: SegNet, cfg: TrainConfig, features, labels: LabelMap):
         grads = network_backward(net, cache, held.pop(), doff_extra)
         return [g for name, _ in net.named_layers() for g in grads[name]]
 
-    return scalar, logits, backward
+    return scalar, logits, backward, cache, kept
 
 
 # Samples per evaluate forward. At the default config one chunk's
@@ -659,11 +688,13 @@ def gradcheck(fn, points, h: float, tolerance: float) -> GradcheckReport:
     fn maps a flat float64 vector x to (scalar value, grad_fn), where
     grad_fn() returns the gradient vector at x. grad_fn runs once per point,
     right after fn(point) and before the next fn call (fn may keep state,
-    as network_gradcheck does by setting the net's parameters in place);
-    the 2 * x.size probes read only the value and never call it. The
-    relative error is |a - n| / max(1e-8, |a| + |n|), at most 1; entries
-    above the tolerance are recorded as failures, never raised. The step h
-    must be finite and > 0 and the tolerance in (0, 1), else ValueError.
+    as network_gradcheck does: it sets the net's parameters in place and
+    keeps the point's activations for its probes); the 2 * x.size probes
+    read only the value and never call it, so a probe's fn may return None
+    for it. The relative error is |a - n| / max(1e-8, |a| + |n|), at most 1;
+    entries above the tolerance are recorded as failures, never raised. The
+    step h must be finite and > 0 and the tolerance in (0, 1), else
+    ValueError.
     """
     if not (np.isfinite(h) and h > 0 and 0 < tolerance < 1):
         raise ValueError(f"need a finite step h > 0 and 0 < tolerance < 1, got h={h}, tolerance={tolerance}")

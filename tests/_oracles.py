@@ -5,12 +5,13 @@ none of the gather/scatter shortcuts the library uses, so agreement is
 meaningful. The exception is the reference code at the end: per-tap einsum
 convs, a gather/np.add.at bilinear stage, np.pad zero padding, a
 np.take_along_axis cross-entropy, an evaluate with one forward per loss
-group that scores whole-split masks, and a regression candidate set built
-one corner at a time: the byte baseline that the library's matmul,
-phase-sliced, buffer-padding, flat-index, chunked, tallied and stacked
-paths must reproduce exactly. The scalar Box-Muller draw is the reference
-for Rng.normals, and traced_peak is the one tracemalloc reading that the
-memory bounds share.
+group that scores whole-split masks, a network-check closure that runs the
+whole loss step per evaluation, and a regression candidate set built one
+corner at a time: the byte baseline that the library's matmul,
+phase-sliced, buffer-padding, flat-index, chunked, tallied, probe-reusing
+and stacked paths must reproduce exactly. The scalar Box-Muller draw is the
+reference for Rng.normals, and traced_peak is the one tracemalloc reading
+that the memory bounds share.
 """
 
 import math
@@ -330,6 +331,22 @@ def one_forward_evaluate(net, cfg, samples):
         "miou": mask_miou(pred_map, gt_map, cfg.num_classes),
         "speckle": mask_speckle_rate(pred_map),
     }
+
+
+def whole_step_fn(net, cfg, features, labels):
+    """network_gradcheck's closure with no reuse: every evaluation sets each
+    parameter from the flat vector (layer by layer, weights then bias) and
+    runs one whole loss_and_grads step. Returns the loss only."""
+    params = [arr for _, layer in net.named_layers() for arr in (layer.weights, layer.bias)]
+
+    def fn(vec):
+        pos = 0
+        for arr in params:
+            arr[...] = vec[pos : pos + arr.size].reshape(arr.shape)
+            pos += arr.size
+        return loss_and_grads(net, cfg, features, labels)[0]
+
+    return fn
 
 
 def _check_pair(pred, gt):

@@ -97,7 +97,9 @@ print("contract ok")
 
 # The reg loss step builds its candidate set through the public
 # build_candidate_set, so the benchmark's span of that name counts every
-# training step and FD evaluation, not only the gradcheck instance search.
+# training step and every FD evaluation that moves u, not only the gradcheck
+# instance search. A network-check probe of the offset branch reuses the
+# checked point's corner entries and runs no build_candidate_set.
 CANDIDATE_SPAN = """
 import runpy
 import numpy as np
