@@ -44,20 +44,17 @@ from .losses import (
 from .net import (
     ConvLayer,
     GradcheckReport,
-    SegNet,
     TrainConfig,
     _bilinear_ce,
-    _expand_offsets,
+    _forward_from,
     _loss_forward,
     _loss_step,
     _params,
-    _upsample,
     conv2d_backward,
     conv2d_forward,
     gradcheck,
     net_for,
     network_forward,
-    offset_predictor_forward,
 )
 from .samplers import OffsetField, lau_backward, lau_forward, lau_source_coords
 
@@ -275,8 +272,7 @@ def _regression_draw(rng):
         # output is the refined logits, shared by the value and the gradient
         v = lau_forward(u, o, k)
         # only the offsets move, so the drawn set's corner entries hold at every probe
-        cs = _candidate_set(drawn.losses[1:], drawn.coords[1:], drawn.block_counts, o, k, 1,
-                            cross_entropy_map(v, labels))
+        cs = _candidate_set(drawn.losses[1:], drawn.coords[1:], o, k, 1, cross_entropy_map(v, labels))
         out, grad_terms = regression_terms(cs, gamma, lam)
 
         def grad():
@@ -360,22 +356,6 @@ def _network_instance(seed: int, loss_kind: str):
     raise RuntimeError(f"no margin-safe instance found for seed {seed} / {loss_kind}")
 
 
-def _probe_forward(net: SegNet, cache: dict, layer: str):
-    """Full-res logits and the loss's cache entries after a probe of `layer`, a layer after the decoder.
-
-    The layers before `layer` still hold the weights `cache` was computed
-    with, so their activations are read from it.
-    """
-    u, off, rest = cache["u"], cache["off"], cache["rest"]
-    if layer == "head":
-        u = conv2d_forward(net.head, cache["f"])
-    elif layer == "reduce":
-        off = offset_predictor_forward(net.predictor, cache["f"])[0]
-    else:
-        off = _expand_offsets(net.predictor, cache["pcache"][1])
-    return _upsample(net, u, off, rest)[1], {"u": u, "off": off, "rest": rest}
-
-
 def network_gradcheck(seed: int = 0, loss_kind: str = "ce") -> GradcheckReport:
     """End-to-end FD check over every trainable parameter of the toy net.
 
@@ -404,7 +384,7 @@ def network_gradcheck(seed: int = 0, loss_kind: str = "ce") -> GradcheckReport:
             if layer is None:
                 at_point.update(cache=cache, kept=kept)
             return scalar, lambda: _flat(*backward())
-        logits, cache = _probe_forward(net, at_point["cache"], layer)
+        logits, cache = _forward_from(net, at_point["cache"], layer)
         kept = None if layer == "head" else at_point["kept"]
         return reduce_loss(_loss_forward(net, cfg, logits, cache, labels, kept)[0]), None
 

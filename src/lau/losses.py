@@ -115,15 +115,11 @@ class CandidateSet:
     (ceil,ceil) of (x, y) rounding. The four corner entries carry no
     gradient by contract. The loss values are stacked once, when the set is
     built, so the entries are not meant to change afterwards.
-    build_candidate_set also leaves on the set the count of valid labels in
-    each block its means were taken over (`block_counts`, None on a set built
-    by hand), which the regression gradient reuses.
     """
 
     losses: list  # 5 LossMaps
     coords: list  # 5 CoordinateMaps
     _stack: np.ndarray = field(init=False, repr=False, compare=False)
-    block_counts: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.losses) != 5 or len(self.coords) != 5:
@@ -283,7 +279,7 @@ def build_candidate_set(u: np.ndarray, off: OffsetField, k: int, rest: int,
     corners, stacked on the batch axis: four corners a chunk at batch 1, two
     at batch 2, one from batch 3 up. Each chunk samples its corners when it
     runs, so no more than one chunk's samplings are held at a time. Each
-    block's valid count is taken once and shared by the five means, and the
+    block's valid count is taken once for the four corner means, and the
     corner coordinates are read-only broadcasts of the corner axes.
     """
     u = as_tensor4(u)
@@ -319,25 +315,25 @@ def build_candidate_set(u: np.ndarray, off: OffsetField, k: int, rest: int,
     px = np.broadcast_to(np.array([xs for xs, _ in axes], dtype=np.float64)[:, None, None, :], (4,) + grid)
     py = np.broadcast_to(np.array([ys for _, ys in axes], dtype=np.float64)[:, None, :, None], (4,) + grid)
     return _candidate_set([LossMap(m, ok) for m in means], [CoordinateMap(x, y) for x, y in zip(px, py)],
-                          count, off, k, rest, refined)
+                          off, k, rest, refined)
 
 
-def _candidate_set(corner_losses: list, corner_coords: list, counts: np.ndarray, off: OffsetField,
-                   k: int, rest: int, refined: LossMap) -> CandidateSet:
+def _candidate_set(corner_losses: list, corner_coords: list, off: OffsetField, k: int, rest: int,
+                   refined: LossMap) -> CandidateSet:
     """The candidate set of four corner entries and the refined entry of `refined` at offsets `off`.
 
     build_candidate_set makes its set here, and a caller that kept a set
     whose corners still hold (the logits and labels are unchanged) makes a
-    set with a new refined entry from the kept set's corner entries and
-    block counts. The refined mean is elementwise over the blocks, so it is
-    the same bytes whichever corners it joins.
+    set with a new refined entry from the kept set's corner entries. The
+    refined loss is valid exactly where the labels are, so its block counts
+    are the corners' and its mean is elementwise over the blocks: the same
+    bytes whichever corners it joins.
     """
+    counts = _block_sums(refined.valid, rest)
     ok = counts > 0
     mean = np.where(ok, _block_sums(refined.values, rest) / np.maximum(counts, 1), 0.0)
     qx, qy = lau_source_coords(off, k)
-    cs = CandidateSet([LossMap(mean, ok)] + corner_losses, [CoordinateMap(qx[:, 0], qy[:, 0])] + corner_coords)
-    cs.block_counts = counts
-    return cs
+    return CandidateSet([LossMap(mean, ok)] + corner_losses, [CoordinateMap(qx[:, 0], qy[:, 0])] + corner_coords)
 
 
 def select_theta_opt(cs: CandidateSet) -> CoordinateMap:
@@ -384,8 +380,8 @@ def regression_terms(cs: CandidateSet, gamma: float, lam: float):
     def grad(rest: int, labels: LabelMap):
         ns = int(valid.sum())
         # CE gradient: each full-res pixel inherits its stage block's weight
-        # over (stage count * block valid count), as the set's builder counted it.
-        counts = _block_sums(labels.valid, rest) if cs.block_counts is None else cs.block_counts
+        # over (stage count * block valid count).
+        counts = _block_sums(labels.valid, rest)
         per_block = np.where(valid, w / (ns * np.maximum(counts, 1)), 0.0)
         weights = np.repeat(np.repeat(per_block, rest, axis=1), rest, axis=2)
         weights = np.where(labels.valid, weights, 0.0)

@@ -345,6 +345,24 @@ def _upsample(net: SegNet, u: np.ndarray, off: OffsetField | None, rest: int):
     return v1, bilinear_upsample(v1, rest)
 
 
+def _forward_from(net: SegNet, cache: dict, layer: str):
+    """network_forward's logits, and the cache entries the loss reads, after `layer` changed.
+
+    `layer` is one after the decoder (head, reduce or expand). The layers
+    before it still hold the weights `cache` was computed with, so their
+    activations are read from it, and `layer` and the layers after it run
+    again: the head gives new logits u; reduce or expand, new offsets.
+    """
+    u, off, rest = cache["u"], cache["off"], cache["rest"]
+    if layer == "head":
+        u = conv2d_forward(net.head, cache["f"])
+    elif layer == "reduce":
+        off = offset_predictor_forward(net.predictor, cache["f"])[0]
+    else:
+        off = _expand_offsets(net.predictor, cache["pcache"][1])  # pcache[1] is the activated reduce output
+    return _upsample(net, u, off, rest)[1], {"u": u, "off": off, "rest": rest}
+
+
 def network_backward(net: SegNet, cache, dlogits: np.ndarray, doff_extra: OffsetField | None = None):
     """Backpropagate dlogits (plus any direct offset gradient) to all layers."""
     dv1 = bilinear_upsample_backward(cache["v1"].shape, cache["rest"], dlogits)
@@ -525,7 +543,7 @@ def _loss_forward(net: SegNet, cfg: TrainConfig, logits, cache, labels: LabelMap
     if kept is None:
         cs = build_candidate_set(u, cache["off"], k, rest, labels, ce)
     else:
-        cs = _candidate_set(kept.losses[1:], kept.coords[1:], kept.block_counts, cache["off"], k, rest, ce)
+        cs = _candidate_set(kept.losses[1:], kept.coords[1:], cache["off"], k, rest, ce)
     loss, grad = regression_terms(cs, cfg.gamma, cfg.lam)
     return loss, lambda: grad(rest, labels), cs
 
