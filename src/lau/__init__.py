@@ -33,7 +33,6 @@ from .net import (
     conv2d_forward,
     gradcheck,
     leaky_relu,
-    offset_predictor_forward,
     poly_lr,
     sgd_step,
     train,

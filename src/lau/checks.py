@@ -46,13 +46,13 @@ from .net import (
     GradcheckReport,
     TrainConfig,
     _bilinear_ce,
-    _forward_from,
+    _forward,
     _loss_forward,
-    _loss_step,
     _params,
     conv2d_backward,
     conv2d_forward,
     gradcheck,
+    loss_and_grads,
     net_for,
     network_forward,
 )
@@ -338,7 +338,7 @@ def _network_instance(seed: int, loss_kind: str):
             continue
         labels = LabelMap(np.where(keep, full, -1), cfg.num_classes)
         logits, cache = network_forward(net, features)
-        pre_acts = [cache["a1"], cache["a2"], cache["pcache"][0]]
+        pre_acts = [cache["a1"], cache["a2"], cache["ar"]]
         if any((np.abs(a) <= BRANCH_MARGIN).any() for a in pre_acts):
             continue
         if not _coords_safe(cache["off"], cfg.lau_ratio):
@@ -359,13 +359,13 @@ def _network_instance(seed: int, loss_kind: str):
 def network_gradcheck(seed: int = 0, loss_kind: str = "ce") -> GradcheckReport:
     """End-to-end FD check over every trainable parameter of the toy net.
 
-    The checked point runs the whole loss step and keeps its forward
-    activations and the loss's u-only part (see net._loss_forward). A probe
-    moves one parameter and recomputes from that parameter's layer on: the
-    whole step for conv1 and conv2, the rest from the kept activations
-    otherwise, with the kept u-only part where u did not move (reduce,
-    expand). The same code runs on the same inputs as in a whole step, so
-    every value is the whole step's float, bit for bit.
+    The checked point runs the whole loss step and keeps its forward cache
+    and the loss's u-only part (see net._loss_forward). A probe moves one
+    parameter and reruns the forward from that parameter's layer on, reading
+    the kept activations of the layers before it (net._forward), with the
+    kept u-only part where u did not move (reduce, expand). The same code
+    runs on the same inputs as in a whole step, so every value is the whole
+    step's float, bit for bit.
     """
     net, cfg, features, labels = _network_instance(seed, loss_kind)
     params = _params(net)
@@ -378,14 +378,13 @@ def network_gradcheck(seed: int = 0, loss_kind: str = "ce") -> GradcheckReport:
         for arr, part in zip(params, _split(vec, *(p.shape for p in params))):
             arr[...] = part
         moved = np.flatnonzero(vec != point)
-        layer = names[np.searchsorted(ends, moved[0], side="right")] if moved.size else None
-        if layer in (None, "conv1", "conv2"):
-            scalar, _, backward, cache, kept = _loss_step(net, cfg, features, labels)
-            if layer is None:
-                at_point.update(cache=cache, kept=kept)
+        if not moved.size:
+            scalar, _, backward, cache, kept = loss_and_grads(net, cfg, features, labels)
+            at_point.update(cache=cache, kept=kept)
             return scalar, lambda: _flat(*backward())
-        logits, cache = _forward_from(net, at_point["cache"], layer)
-        kept = None if layer == "head" else at_point["kept"]
+        layer = names[np.searchsorted(ends, moved[0], side="right")]
+        logits, cache = _forward(net, at_point["cache"], layer)
+        kept = at_point["kept"] if layer in ("reduce", "expand") else None
         return reduce_loss(_loss_forward(net, cfg, logits, cache, labels, kept)[0]), None
 
     rep = gradcheck(fn, [point], h=1e-5, tolerance=1e-4)

@@ -50,7 +50,6 @@ __all__ = [
     "build_net",
     "conv2d_backward",
     "conv2d_forward",
-    "decoder_forward",
     "evaluate",
     "gradcheck",
     "leaky_relu",
@@ -59,7 +58,6 @@ __all__ = [
     "loss_and_grads",
     "net_for",
     "network_forward",
-    "offset_predictor_forward",
     "poly_lr",
     "save_checkpoint",
     "sgd_step",
@@ -221,31 +219,6 @@ class OffsetPredictor:
         return cls(reduce, expand, ratio, groups, slope)
 
 
-def offset_predictor_forward(pred: OffsetPredictor, f: np.ndarray):
-    """Offset branch forward; returns (offsets, cache for the backward)."""
-    ar = conv2d_forward(pred.reduce, f)
-    hr = leaky_relu(ar, pred.slope)
-    return _expand_offsets(pred, hr), (ar, hr)
-
-
-def _expand_offsets(pred: OffsetPredictor, hr: np.ndarray) -> OffsetField:
-    """The offsets that the expand conv and the pixel shuffle make of the activated reduce output hr."""
-    o = pixel_shuffle(conv2d_forward(pred.expand, hr), pred.ratio)
-    return OffsetField(o[:, 0::2], o[:, 1::2])
-
-
-def _predictor_backward(pred: OffsetPredictor, f: np.ndarray, cache, doff: OffsetField):
-    ar, hr = cache
-    do = np.empty((doff.n, 2 * doff.m, doff.h_out, doff.w_out))
-    do[:, 0::2] = doff.dx
-    do[:, 1::2] = doff.dy
-    dae = pixel_unshuffle(do, pred.ratio)
-    dhr, dwe, dbe = conv2d_backward(pred.expand, hr, dae)
-    dar = leaky_relu_backward(ar, dhr, pred.slope)
-    df, dwr, dbr = conv2d_backward(pred.reduce, f, dar)
-    return df, {"reduce": (dwr, dbr), "expand": (dwe, dbe)}
-
-
 @dataclass
 class SegNet:
     """Decoder, logits head, and (optionally) the offset branch.
@@ -310,57 +283,47 @@ def net_for(cfg: TrainConfig, rng: Rng) -> SegNet:
                      cfg.weight_decay, with_predictor=cfg.upsampler == "lau")
 
 
-def decoder_forward(net: SegNet, x: np.ndarray):
-    """Two 3x3 conv + leaky ReLU stages, then the 1x1 logits head.
-
-    Returns (F, U, cache): the shared feature map that also feeds the offset
-    branch, the low-resolution class logits, and the input and
-    pre-activations the backward pass needs.
-    """
-    a1 = conv2d_forward(net.conv1, x)
-    h1 = leaky_relu(a1, net.slope)
-    a2 = conv2d_forward(net.conv2, h1)
-    f = leaky_relu(a2, net.slope)
-    u = conv2d_forward(net.head, f)
-    return f, u, {"x": x, "a1": a1, "h1": h1, "a2": a2}
-
-
 def network_forward(net: SegNet, x: np.ndarray):
     """Full pipeline forward; returns (full-res logits, cache for backward)."""
-    f, u, cache = decoder_forward(net, x)
-    off, pcache = (None, None) if net.predictor is None else offset_predictor_forward(net.predictor, f)
-    rest = net.total_ratio // net.lau_ratio
-    v1, logits = _upsample(net, u, off, rest)
-    cache.update(f=f, u=u, off=off, pcache=pcache, v1=v1, rest=rest)
-    return logits, cache
+    return _forward(net, {"x": x}, "conv1")
 
 
-def _upsample(net: SegNet, u: np.ndarray, off: OffsetField | None, rest: int):
-    """The pipeline after the decoder and offset branch: (sampler output, full-res logits).
+def _forward(net: SegNet, cache: dict, layer: str):
+    """The full-res logits, and a copy of `cache` updated by a forward that starts at `layer`.
 
-    The refined sampler at offsets `off` (plain bilinear without an offset
-    branch) takes u up by lau_ratio, and plain bilinear covers the rest.
+    `layer` and every layer after it in named_layers order run, but the head,
+    which feeds no other layer, runs alone. The activations of the layers
+    before `layer` are read from `cache`, so those layers must still hold the
+    weights it was computed with; network_forward starts at conv1 with the
+    input alone. Then the sampler at the predicted offsets (plain bilinear
+    without an offset branch) takes the low-resolution logits u up by
+    lau_ratio, and plain bilinear covers the rest.
     """
-    v1 = bilinear_upsample(u, net.lau_ratio) if off is None else lau_forward(u, off, net.lau_ratio)
-    return v1, bilinear_upsample(v1, rest)
-
-
-def _forward_from(net: SegNet, cache: dict, layer: str):
-    """network_forward's logits, and the cache entries the loss reads, after `layer` changed.
-
-    `layer` is one after the decoder (head, reduce or expand). The layers
-    before it still hold the weights `cache` was computed with, so their
-    activations are read from it, and `layer` and the layers after it run
-    again: the head gives new logits u; reduce or expand, new offsets.
-    """
-    u, off, rest = cache["u"], cache["off"], cache["rest"]
-    if layer == "head":
-        u = conv2d_forward(net.head, cache["f"])
-    elif layer == "reduce":
-        off = offset_predictor_forward(net.predictor, cache["f"])[0]
-    else:
-        off = _expand_offsets(net.predictor, cache["pcache"][1])  # pcache[1] is the activated reduce output
-    return _upsample(net, u, off, rest)[1], {"u": u, "off": off, "rest": rest}
+    c = dict(cache)
+    names = [name for name, _ in net.named_layers()]
+    runs = {"head"} if layer == "head" else set(names[names.index(layer):])
+    if "conv1" in runs:
+        c["a1"] = conv2d_forward(net.conv1, c["x"])
+        c["h1"] = leaky_relu(c["a1"], net.slope)
+    if "conv2" in runs:
+        c["a2"] = conv2d_forward(net.conv2, c["h1"])
+        c["f"] = leaky_relu(c["a2"], net.slope)
+    if "head" in runs:
+        c["u"] = conv2d_forward(net.head, c["f"])
+    pred = net.predictor
+    if "reduce" in runs:
+        c["ar"] = conv2d_forward(pred.reduce, c["f"])
+        c["hr"] = leaky_relu(c["ar"], pred.slope)
+    if "expand" in runs:
+        o = pixel_shuffle(conv2d_forward(pred.expand, c["hr"]), pred.ratio)
+        c["off"] = OffsetField(o[:, 0::2], o[:, 1::2])
+        del o  # the field holds copies
+    elif pred is None:
+        c["off"] = None
+    k, u, off = net.lau_ratio, c["u"], c["off"]
+    c["v1"] = bilinear_upsample(u, k) if off is None else lau_forward(u, off, k)
+    c["rest"] = net.total_ratio // k
+    return bilinear_upsample(c["v1"], c["rest"]), c
 
 
 def network_backward(net: SegNet, cache, dlogits: np.ndarray, doff_extra: OffsetField | None = None):
@@ -368,12 +331,18 @@ def network_backward(net: SegNet, cache, dlogits: np.ndarray, doff_extra: Offset
     dv1 = bilinear_upsample_backward(cache["v1"].shape, cache["rest"], dlogits)
     del dlogits  # its last read: freed here, since loss_and_grads keeps no other reference
     grads = {}
-    if net.predictor is not None:
+    pred = net.predictor
+    if pred is not None:
         du, doff = lau_backward(cache["u"], cache["off"], net.lau_ratio, dv1)
         if doff_extra is not None:
             doff = OffsetField(doff.dx + doff_extra.dx, doff.dy + doff_extra.dy)
-        df_pred, pgrads = _predictor_backward(net.predictor, cache["f"], cache["pcache"], doff)
-        grads.update(pgrads)
+        do = np.empty((doff.n, 2 * doff.m, doff.h_out, doff.w_out))
+        do[:, 0::2] = doff.dx
+        do[:, 1::2] = doff.dy
+        dhr, dwe, dbe = conv2d_backward(pred.expand, cache["hr"], pixel_unshuffle(do, pred.ratio))
+        dar = leaky_relu_backward(cache["ar"], dhr, pred.slope)
+        df_pred, dwr, dbr = conv2d_backward(pred.reduce, cache["f"], dar)
+        grads.update(reduce=(dwr, dbr), expand=(dwe, dbe))
     else:
         du = bilinear_upsample_backward(cache["u"].shape, net.lau_ratio, dv1)
         df_pred = 0.0
@@ -554,28 +523,21 @@ def _params(net: SegNet) -> list:
 
 
 def loss_and_grads(net: SegNet, cfg: TrainConfig, features, labels: LabelMap):
-    """The configured loss at (features, labels), the logits, and a backward thunk.
+    """The configured loss at (features, labels), its logits and a backward thunk, then what probes reuse.
 
     The one loss step behind training and the end-to-end gradient check;
     evaluate builds its loss maps with the same _loss_forward. Returns
-    (scalar, logits, backward); backward() runs the backward pass and
-    returns the parameter gradients in _params order, so a caller that
-    needs only the value never pays for it. It reads the layer weights when
-    called: call it before changing any parameter, and call it at most
+    (scalar, logits, backward, cache, kept): backward() runs the backward
+    pass and returns the parameter gradients in _params order, so a caller
+    that needs only the value never pays for it. It reads the layer weights
+    when called: call it before changing any parameter, and call it at most
     once. Until then it holds the logits and the forward cache. It drops
     the logits and the CE weight map once the logits' gradient exists and
     keeps no reference to that gradient, so unless the caller kept the
     logits they are freed before the network's backward pass, and their
-    gradient after its first stage.
-    """
-    return _loss_step(net, cfg, features, labels)[:3]
-
-
-def _loss_step(net: SegNet, cfg: TrainConfig, features, labels: LabelMap):
-    """loss_and_grads' (scalar, logits, backward), then the forward cache and the loss's u-only part.
-
-    network_gradcheck keeps the last two of its checked point for its
-    probes; loss_and_grads drops them.
+    gradient after its first stage. The forward cache and the loss's u-only
+    part (see _loss_forward) are what network_gradcheck keeps of its checked
+    point for its probes; training drops them with the tuple.
     """
     logits, cache = network_forward(net, features)
     loss, grad_terms, kept = _loss_forward(net, cfg, logits, cache, labels)

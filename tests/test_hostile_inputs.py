@@ -347,3 +347,11 @@ def test_gradcheck_command_on_refused_arguments(tmp_path_factory, data):
     code, stderr = run_main(argv)
     assert code == 2 and len(error_lines(stderr)) == 1, (argv, code, stderr)
     assert not out.exists()
+
+
+def test_gradcheck_command_on_a_seed_past_64_bits(tmp_path):
+    # valid but unusual: 2**64 fits no machine integer, and the suite still runs and passes
+    code, stderr = run_main(["gradcheck", "--seed", str(2**64), "--out", str(tmp_path)])
+    assert code == 0 and not stderr, stderr
+    lines = (tmp_path / "gradcheck.csv").read_text().splitlines()
+    assert lines[0] == "subject,cases,max_rel_err,failures" and len(lines) == 5, lines

@@ -36,7 +36,6 @@ from lau.net import (
     load_checkpoint,
     loss_and_grads,
     network_forward,
-    offset_predictor_forward,
     poly_lr,
     save_checkpoint,
     sgd_step,
@@ -229,9 +228,9 @@ class TestInitialization:
 
 class TestOffsetPredictor:
     def test_zero_init_gives_zero_offsets(self):
-        pred = OffsetPredictor.init(6, 4, 2, 1, 0.01, Rng(0))
-        f = np.random.default_rng(6).normal(size=(2, 6, 3, 3))
-        off, _ = offset_predictor_forward(pred, f)
+        net = build_net(3, 3, 6, 4, 2, 4, 1, 0.01, Rng(0), 1e-4)
+        x = np.random.default_rng(6).normal(size=(2, 3, 3, 3))
+        off = network_forward(net, x)[1]["off"]
         assert not off.dx.any() and not off.dy.any()
         assert off.m == 1 and (off.h_out, off.w_out) == (6, 6)
 
@@ -245,18 +244,17 @@ class TestOffsetPredictor:
         assert np.array_equal(logits, ref)
 
     def test_matches_layer_by_layer_composition(self):
-        rng = Rng(2)
-        pred = OffsetPredictor.init(5, 4, 2, 1, 0.1, rng)
+        net = build_net(3, 3, 5, 4, 2, 4, 1, 0.1, Rng(2), 1e-4)
+        pred = net.predictor
         gen = np.random.default_rng(8)
         pred.expand.weights[...] = gen.normal(size=pred.expand.weights.shape)
         pred.expand.bias[...] = gen.normal(size=pred.expand.bias.shape)
-        f = gen.normal(size=(1, 5, 3, 3))
-        off, _ = offset_predictor_forward(pred, f)
+        _, cache = network_forward(net, gen.normal(size=(1, 3, 3, 3)))
         shuffled = pixel_shuffle(
-            conv2d_forward(pred.expand, leaky_relu(conv2d_forward(pred.reduce, f), 0.1)), 2
+            conv2d_forward(pred.expand, leaky_relu(conv2d_forward(pred.reduce, cache["f"]), 0.1)), 2
         )
-        assert np.array_equal(off.dx, shuffled[:, 0::2])
-        assert np.array_equal(off.dy, shuffled[:, 1::2])
+        assert np.array_equal(cache["off"].dx, shuffled[:, 0::2])
+        assert np.array_equal(cache["off"].dy, shuffled[:, 1::2])
 
     def test_expand_width_validated(self):
         rng = Rng(3)
@@ -309,16 +307,14 @@ class TestSegNetChannels:
 
 class TestToyDecoder:
     def test_decoder_returns_shared_features_and_logits(self):
+        # the decoder output F feeds both the logits head and the offset branch
         net = build_net(3, 4, 6, 4, 2, 4, 1, 0.01, Rng(21), 0.0)
-        from lau.net import decoder_forward
-
         x = np.random.default_rng(22).normal(size=(2, 3, 4, 4))
-        f, u, _ = decoder_forward(net, x)
-        assert f.shape == (2, 6, 4, 4)
-        assert u.shape == (2, 4, 4, 4)
-        logits, cache = network_forward(net, x)
-        assert np.array_equal(cache["f"], f)
-        assert np.array_equal(cache["u"], u)
+        _, cache = network_forward(net, x)
+        f = leaky_relu(conv2d_forward(net.conv2, leaky_relu(conv2d_forward(net.conv1, x), 0.01)), 0.01)
+        assert cache["f"].shape == (2, 6, 4, 4) and np.array_equal(cache["f"], f)
+        assert cache["u"].shape == (2, 4, 4, 4) and np.array_equal(cache["u"], conv2d_forward(net.head, f))
+        assert np.array_equal(cache["ar"], conv2d_forward(net.predictor.reduce, f))
 
     def test_expand_gradient_flows_only_through_sampler_path(self):
         # at the zero-offset starting state the expand layer still receives
@@ -580,13 +576,47 @@ class TestGradcheckHarness:
         differ = [i for i, (x, value) in enumerate(seen) if value != reference(x)]
         assert not differ, f"{len(differ)} values differ, first at evaluation {differ[0]}"
 
+    def test_each_probe_reruns_only_the_layers_it_reaches(self, monkeypatch):
+        # a probe reruns its layer and every layer after it, except that the
+        # head feeds no other layer: the counts are conv2d_forward calls
+        import lau.checks
+
+        captured = []
+
+        def capture(fn, points, *args, **kwargs):
+            captured.append((fn, points[0]))
+            return lau.net.GradcheckReport("fn", 1, 0.0)
+
+        monkeypatch.setattr(lau.checks, "gradcheck", capture)
+        network_gradcheck(seed=0, loss_kind="ce")
+        (fn, point), = captured
+        calls = []
+        conv = lau.net.conv2d_forward
+        monkeypatch.setattr(lau.net, "conv2d_forward", lambda *a: calls.append(None) or conv(*a))
+
+        def count(vec):
+            calls.clear()
+            fn(vec)
+            return len(calls)
+
+        counts = {"point": count(point)}
+        start = 0
+        for name, layer in lau.checks._network_instance(0, "ce")[0].named_layers():
+            moved = point.copy()
+            moved[start] += 1e-5
+            counts[name] = count(moved)
+            start += layer.weights.size + layer.bias.size
+        assert counts == {"point": 5, "conv1": 5, "conv2": 4, "head": 1, "reduce": 2, "expand": 1}
+
     @pytest.mark.parametrize("kind, layer", [("ce", "conv1"), ("ce", "conv2"), ("ce", "head"),
                                              ("ce", "reduce"), ("ce", "expand"), ("off", "expand"),
                                              ("reg", "expand")])
     def test_skewed_layer_gradient_fails(self, monkeypatch, kind, layer):
-        # each layer's probes take their own path (the whole step, u from the
-        # kept F, the offsets from the kept F or reduce activation), so each
-        # must still see a relative 1e-3 error in its layer's weight gradient
+        # each layer's probes rerun the forward from their own layer (the
+        # whole forward for conv1, from the kept h1 for conv2, u alone from
+        # the kept F for the head, the offsets from the kept F or reduce
+        # activation), so each must still see a relative 1e-3 error in its
+        # layer's weight gradient
         real = lau.net.network_backward
 
         def skewed(*args, **kwargs):

@@ -36,12 +36,6 @@ def _layer(a, c, kernel):
     return lau.ConvLayer(c, 2, kernel, a["weights"], a["bias"])
 
 
-def _predictor(c, k):
-    rng = lau.Rng(0)
-    reduce, expand = lau.ConvLayer.init(c, 2, 1, rng), lau.ConvLayer.init(2, 2 * k * k, 3, rng)
-    return lau.OffsetPredictor(reduce, expand, k, 1, 0.1)
-
-
 def _gradcheck(a):
     return lau.gradcheck(lambda x: (0.0, lambda: a["grad"]), [a["point"]], 1e-6, 1e-5)
 
@@ -95,8 +89,6 @@ def op_specs(n, c, h, w, k, m, rest, kernel):
         "conv2d_backward": ({"weights": (out, c, kernel, kernel), "bias": (out,), "x": img,
                              "dy": (n, out, h, w)}, set(),
                             lambda a: lau.conv2d_backward(_layer(a, c, kernel), a["x"], a["dy"])),
-        "offset_predictor_forward": ({"f": img}, {("f", 0), ("f", 2), ("f", 3)},
-                                     lambda a: lau.offset_predictor_forward(_predictor(c, k), a["f"])),
         "sgd_step": ({"w": (c, h), "g": (c, h), "v": (c, h)}, set(),
                      lambda a: lau.sgd_step([a["w"]], [a["g"]], [a["v"]], 0.1, 0.9, [0.0])),
         "gradcheck": ({"point": (c,), "grad": (c,)}, set(), _gradcheck),
